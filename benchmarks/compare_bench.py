@@ -101,11 +101,10 @@ GATES = [
     Gate("obs", "prom_families", True, rel_tol=0.5, floor=1.0),
     Gate("preprocess", "clause_reduction_pct", True, abs_tol=2.0, floor=20.0),
     Gate("preprocess", "solve_ratio", True, rel_tol=0.5, hard=False),
-    # SAT-core differential identity and portfolio determinism are
-    # exact for a fixed workload: hard floors at 1.0, no band.
+    # SAT-core differential identity is exact for a fixed workload:
+    # hard floors at 1.0, no band.
     Gate("satcore", "verdict_match", True, floor=1.0),
     Gate("satcore", "counter_match", True, floor=1.0),
-    Gate("satcore", "portfolio_deterministic", True, floor=1.0),
     Gate("satcore", "props_per_sec", True, rel_tol=0.5, hard=False),
     Gate("satcore", "solve_ratio", True, rel_tol=0.5, hard=False),
     # Differential verification: verdict identity with full re-solving,

@@ -1,15 +1,10 @@
-"""SAT-core smoke check for `make check` / CI: arena + portfolio.
+"""SAT-core smoke check for `make check` / CI: arena fidelity.
 
-Exercises the two PR-level promises of the flat-arena CDCL core:
-
-* **Fidelity** — on random 3-SAT and on a real fat-tree verification
-  CNF, the arena solver and the list-based reference produce identical
-  verdicts, identical full counter snapshots (conflicts, decisions,
-  propagations, ...) and identical models.  These are deterministic
-  for a fixed workload, so they hard-gate in ``compare_bench.py``.
-* **Portfolio determinism** — racing diversified seeded workers with
-  artificially skewed finish orders must return the same verdict and
-  model every time (canonical winner = lowest seed with a verdict).
+On random 3-SAT and on a real fat-tree verification CNF, the flat-arena
+CDCL core and the list-based reference must produce identical verdicts,
+identical full counter snapshots (conflicts, decisions, propagations,
+...) and identical models.  These are deterministic for a fixed
+workload, so they hard-gate in ``compare_bench.py``.
 
 It also measures BCP throughput (``props_per_sec``) and the arena/
 reference solve-time ratio (``solve_ratio``; > 1 means the arena is
@@ -30,8 +25,6 @@ from repro.gen import build_fattree
 from repro.net import ip as iplib
 from repro.smt import Solver, not_
 from repro.smt.sat import ReferenceSatSolver, SatSolver
-from repro.smt.sat import portfolio as pf
-from repro.smt.sat.portfolio import default_configs, race
 
 from benchmarks.harness import emit_metrics, print_table
 
@@ -134,35 +127,17 @@ def main(argv=None) -> int:
     check(all_counters, "arena counters identical to reference")
     solve_ratio = ref_s / arena_s if arena_s else float("inf")
 
-    # --- portfolio determinism under skewed finish orders ------------
-    outcomes = []
-    try:
-        for delays in ({}, {0: 0.25}, {1: 0.25}):
-            pf._TEST_DELAYS.clear()
-            pf._TEST_DELAYS.update(delays)
-            result = race(random_cnf(1, n=60, ratio=4.0), 60,
-                          configs=default_configs(3), timeout=120)
-            outcomes.append((result.outcome, result.winner.seed,
-                             result.model))
-    finally:
-        pf._TEST_DELAYS.clear()
-    deterministic = len(set(map(repr, outcomes))) == 1
-    check(deterministic,
-          f"portfolio verdict/model stable under skew ({outcomes[0][0]})")
-
     print_table(f"SAT core smoke (fat-tree {args.pods} pods, "
                 f"{args.seeds} random seeds)",
-                ["props/s", "arena s", "ref s", "ratio", "portfolio"],
+                ["props/s", "arena s", "ref s", "ratio"],
                 [[f"{props_per_sec / 1000:.1f}k", f"{arena_s:.2f}",
-                  f"{ref_s:.2f}", f"{solve_ratio:.2f}x",
-                  "deterministic" if deterministic else "UNSTABLE"]])
+                  f"{ref_s:.2f}", f"{solve_ratio:.2f}x"]])
 
     emit_metrics("satcore", {
         "pods": args.pods,
         "seeds": args.seeds,
         "verdict_match": 1.0 if all_verdicts else 0.0,
         "counter_match": 1.0 if all_counters else 0.0,
-        "portfolio_deterministic": 1.0 if deterministic else 0.0,
         "props_per_sec": round(props_per_sec, 1),
         "arena_seconds": round(arena_s, 4),
         "reference_seconds": round(ref_s, 4),

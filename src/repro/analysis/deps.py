@@ -544,11 +544,10 @@ def query_id(prop, effective_k: int, assumptions: Tuple = ()) -> str:
 
 # EncoderOptions fields that shape which stable states exist (and hence
 # verdicts).  ``max_failures`` is captured per-query via the effective
-# bound in the query id; ``preprocess``/``portfolio``/``hoist_prefixes``
-# and friends are verdict-preserving solver/encoding strategies (locked
-# by the differential test suites), and the conflict budget can only
-# turn an answer into UNKNOWN — never flip it — and UNKNOWNs are not
-# cached.
+# bound in the query id; ``preprocess``/``hoist_prefixes`` and friends
+# are verdict-preserving solver/encoding strategies (locked by the
+# differential test suites), and the conflict budget can only turn an
+# answer into UNKNOWN — never flip it — and UNKNOWNs are not cached.
 _SEMANTIC_OPTION_FIELDS = (
     "hoist_prefixes",
     "slice_fields",

@@ -95,9 +95,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="assume these peers announce the destination")
     verify.add_argument("--no-preprocess", action="store_true",
                         help="disable SAT-level CNF preprocessing")
-    verify.add_argument("--portfolio", type=int, default=1, metavar="N",
-                        help="race N seeded solver processes per check "
-                             "(1 = in-process serial solving)")
     _add_observability_flags(verify)
 
     batch = sub.add_parser(
@@ -108,9 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_query_flags(batch)
     batch.add_argument("--no-preprocess", action="store_true",
                        help="disable SAT-level CNF preprocessing")
-    batch.add_argument("--portfolio", type=int, default=1, metavar="N",
-                       help="race N seeded solver processes per check "
-                            "(1 = in-process serial solving)")
     _add_observability_flags(batch)
 
     diff = sub.add_parser(
@@ -473,31 +467,11 @@ def _cmd_analyze(args) -> int:
     return report.exit_code
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _check_portfolio_width(portfolio: int) -> None:
-    if portfolio < 1:
-        raise SystemExit("--portfolio must be >= 1")
-    cpus = _available_cpus()
-    if portfolio > cpus:
-        print(f"warning: --portfolio {portfolio} exceeds the "
-              f"{cpus} available CPU core(s); racing workers will "
-              "time-slice and checks will likely get SLOWER, not "
-              "faster", file=sys.stderr)
-
-
 def _cmd_verify(args) -> int:
-    _check_portfolio_width(args.portfolio)
     with _observed(args, command="verify") as ctx:
         network = load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
-            preprocess=not args.no_preprocess,
-            portfolio=args.portfolio))
+            preprocess=not args.no_preprocess))
         prop = _make_property(args)
         assumptions = [P.announces(peer) for peer in args.announced_by]
         result = verifier.verify(prop, max_failures=args.max_failures,
@@ -560,12 +534,10 @@ def _batch_queries(args) -> List[BatchQuery]:
 def _cmd_verify_batch(args) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
-    _check_portfolio_width(args.portfolio)
     with _observed(args, command="verify-batch") as ctx:
         network = load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
-            preprocess=not args.no_preprocess,
-            portfolio=args.portfolio))
+            preprocess=not args.no_preprocess))
         queries = _batch_queries(args)
         results = verifier.verify_batch(queries, workers=args.workers)
         ctx.network, ctx.options = network, verifier.options

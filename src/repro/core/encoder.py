@@ -92,7 +92,6 @@ class EncoderOptions:
     prune_dead_clauses: bool = False  # drop SMT-proven-dead map clauses
     prune_cold_clauses: bool = False  # drop clauses cold for the dst prefix
     preprocess: bool = True          # SAT-level CNF simplification (§8)
-    portfolio: int = 1               # race N seeded solver processes
 
 
 @dataclass

@@ -126,8 +126,7 @@ class GroupEncoding:
             encoder = NetworkEncoder(network, options)
             self.enc = encoder.encode(dst_prefix=dst_prefix)
             self.solver = Solver(conflict_budget=conflict_budget,
-                                 preprocess=options.preprocess,
-                                 portfolio=options.portfolio)
+                                 preprocess=options.preprocess)
             self.solver.add(*self.enc.constraints, label="network")
             self.base_mark = self.enc.checkpoint()
         #: one-time cost of building this encoding (the cost a warm

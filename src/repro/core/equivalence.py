@@ -111,8 +111,7 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
             *factory.equate(exported_a, exported_b))))
 
     solver = Solver(conflict_budget=conflict_budget,
-                    preprocess=options.preprocess,
-                    portfolio=options.portfolio)
+                    preprocess=options.preprocess)
     solver.add(or_(*differences) if differences else FALSE)
     outcome = solver.check()
     if outcome is UNSAT:

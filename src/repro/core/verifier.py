@@ -229,8 +229,7 @@ class Verifier:
                 encoder = NetworkEncoder(self.network, options)
                 enc = encoder.encode(dst_prefix=prop.dst_prefix())
                 solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess,
-                                portfolio=self.options.portfolio)
+                                preprocess=self.options.preprocess)
                 solver.add(*enc.constraints, label="network")
                 base_mark = enc.checkpoint()
             with tracer.span("verify.property", property=name) as sp_query:
@@ -378,8 +377,7 @@ class Verifier:
                 enc1 = fail_encoder.encode(dst_prefix=prop.dst_prefix(),
                                            ns="c1.")
                 solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess,
-                                portfolio=self.options.portfolio)
+                                preprocess=self.options.preprocess)
                 solver.add(*enc0.constraints, label="network")
                 solver.add(*enc1.constraints, label="network")
                 mark0 = enc0.checkpoint()
@@ -466,8 +464,7 @@ class Verifier:
                 mismatch = or_(*[not_(iff(reach0[r], reach1[r]))
                                  for r in enc0.routers()])
                 solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess,
-                                portfolio=self.options.portfolio)
+                                preprocess=self.options.preprocess)
                 solver.add(*enc0.constraints, label="network")
                 solver.add(*enc1.constraints, label="network")
                 solver.add(*_equate_packets(enc0, enc1), label="property")
@@ -543,8 +540,7 @@ class Verifier:
                                        self.options).encode(ns="A.")
                 enc_b = NetworkEncoder(other, self.options).encode(ns="B.")
                 solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess,
-                                portfolio=self.options.portfolio)
+                                preprocess=self.options.preprocess)
                 solver.add(*enc_a.constraints, label="network")
                 solver.add(*enc_b.constraints, label="network")
             with tracer.span("verify.property", property=name) as sp_query:

@@ -18,8 +18,7 @@ Built on stdlib :mod:`logging` under the ``"repro"`` logger namespace:
 * :func:`warn_event` logs the structured event **and** still raises the
   matching :class:`warnings.warn` — existing ``pytest.warns`` /
   ``filterwarnings`` contracts keep working while log pipelines get a
-  parseable record (this is what the engine's pool fallback and the
-  solver's portfolio fallback now use).
+  parseable record (this is what the engine's pool fallback uses).
 """
 
 from __future__ import annotations

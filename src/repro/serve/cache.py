@@ -152,8 +152,10 @@ class TTLLRUCache:
                     self._drop(key, "scope")
                 self._publish_gauges()
                 return False
-            if key in self._entries:
-                self._drop(key, "scope")
+            # A same-key replacement is an update, not an eviction.
+            old = self._entries.pop(key, None)
+            if old is not None:
+                self.total_bytes -= old.size
             self._entries[key] = _Entry(value, size, now + self.ttl_seconds)
             self.total_bytes += size
             while self.total_bytes > self.max_bytes:

@@ -126,6 +126,10 @@ class ReproServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     server: ReproServer
     protocol_version = "HTTP/1.1"
+    # Headers and body go out in separate writes; with Nagle on, the
+    # body of every keep-alive response waits for the client's delayed
+    # ACK of the headers (~40 ms).  setup() sets TCP_NODELAY for us.
+    disable_nagle_algorithm = True
 
     # -- plumbing --------------------------------------------------------
 

@@ -1,8 +1,7 @@
 """Pure-Python CDCL SAT solver.
 
 ``SatSolver`` is the production flat-arena solver; ``ReferenceSatSolver``
-is the list-based baseline kept for differential testing; ``portfolio``
-races seeded ``SatSolver`` configurations across processes.
+is the list-based baseline kept for differential testing.
 """
 
 from .reference import ReferenceSatSolver

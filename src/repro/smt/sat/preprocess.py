@@ -504,8 +504,7 @@ class Preprocessor:
         Learnt clauses mentioning an eliminated variable are dropped
         (they are consequences, so that is always sound); drops are
         tallied into ``learned_deleted`` so the counter stays the
-        monotone "learnt clauses ever discarded" total that portfolio
-        aggregation sums across workers.
+        monotone "learnt clauses ever discarded" total.
         """
         solver = self.solver
         problem = [c for c in self.clauses if c is not None]

@@ -196,17 +196,6 @@ class ReferenceSatSolver:
         act = self._clause_act
         return [(clause, act.get(id(clause))) for clause in self._learnts]
 
-    def root_literals(self) -> List[int]:
-        """Root-level trail literals (internal encoding, a copy)."""
-        if self._trail_lim:
-            return list(self._trail[:self._trail_lim[0]])
-        return list(self._trail)
-
-    @property
-    def root_conflict(self) -> bool:
-        """True once the formula is known unsatisfiable at the root."""
-        return self._unsat
-
     def install_clauses(self, problem: List[List[int]],
                         learnts: List[Tuple[List[int], Optional[float]]]) -> None:
         """Replace the clause database wholesale and rebuild the watches.

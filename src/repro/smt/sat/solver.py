@@ -7,10 +7,9 @@ learned clauses.  The design follows MiniSat; the storage layout follows the
 flat-buffer style of modern C solvers, adapted to CPython:
 
 * **Clause arena** — one growable flat int buffer (a Python list of
-  int32-range ints; :meth:`SatSolver.arena_view` exports an ``array('i')``
-  int32 memoryview of it) holding every clause as
-  ``[end, lit0, lit1, ...]``.  A clause is identified by the offset of its
-  *first literal* (its *ref*), so the hot path reads ``arena[ref]`` /
+  int32-range ints) holding every clause as ``[end, lit0, lit1, ...]``.
+  A clause is identified by the offset of its *first literal* (its
+  *ref*), so the hot path reads ``arena[ref]`` /
   ``arena[ref + 1]`` with no header skip; the header word at ``ref - 1``
   holds the clause's *end offset* (one add cheaper than a size on every
   scan) and is only consulted off the blocker fast path.  Offset 0 holds a
@@ -28,10 +27,7 @@ threshold, so search behavior is unaffected by collection.
 
 The search is op-for-op identical to the list-based baseline kept in
 :mod:`.reference` — same decisions, conflicts, propagations, and models —
-which the randomized differential suite asserts.  Diversification knobs
-(``seed``, ``restart_base``, ``var_decay``, ``phase_init``,
-``random_decision_freq``) support portfolio solving; their defaults
-reproduce the baseline bit-identically.
+which the randomized differential suite asserts.
 
 The solver answers ``True`` (satisfiable), ``False`` (unsatisfiable) or
 ``None`` (conflict budget exhausted).  It supports solving under assumptions
@@ -47,8 +43,6 @@ the accessor contract (:meth:`clause_lists` / :meth:`learnt_lists` /
 
 from __future__ import annotations
 
-import random
-from array import array
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .preprocess import PreprocessConfig, Preprocessor, root_simplify
@@ -166,42 +160,9 @@ def _luby_sequence(x: int) -> int:
 
 
 class SatSolver:
-    """CDCL solver over variables numbered from 1 (DIMACS convention).
+    """CDCL solver over variables numbered from 1 (DIMACS convention)."""
 
-    Args:
-        seed: RNG seed for the diversification knobs below; ``None``
-            (the default) disables all randomness.
-        restart_base: Luby restart unit in conflicts.
-        var_decay: VSIDS activity decay factor per conflict.
-        phase_init: initial saved phase per variable — ``"false"``,
-            ``"true"``, or ``"random"`` (requires ``seed``).
-        random_decision_freq: probability of replacing a VSIDS pick
-            with a random unassigned variable (requires ``seed``).
-
-    The defaults reproduce :class:`~.reference.ReferenceSatSolver`
-    bit-identically; non-default values are the portfolio's
-    diversification surface (see :mod:`.portfolio`).
-    """
-
-    def __init__(self, seed: Optional[int] = None, restart_base: int = 128,
-                 var_decay: float = 0.95, phase_init: str = "false",
-                 random_decision_freq: float = 0.0) -> None:
-        if phase_init not in ("false", "true", "random"):
-            raise ValueError(f"unknown phase_init {phase_init!r}")
-        if phase_init == "random" and seed is None:
-            raise ValueError("phase_init='random' requires a seed")
-        if random_decision_freq and seed is None:
-            raise ValueError("random_decision_freq requires a seed")
-        self.seed = seed
-        self.restart_base = restart_base
-        self.var_decay = var_decay
-        self.phase_init = phase_init
-        self.random_decision_freq = random_decision_freq
-        self._decision_rng = random.Random(seed) if seed is not None else None
-        self._phase_rng = (random.Random((seed << 1) ^ 0x9E3779B9)
-                           if phase_init == "random" else None)
-        self._default_phase = 1 if phase_init == "true" else 0
-
+    def __init__(self) -> None:
         self.num_vars = 0
         self._assign: List[int] = []      # per var: 0 false, 1 true, -1 undef
         self._level: List[int] = []       # per var: decision level
@@ -283,8 +244,7 @@ class SatSolver:
         ``live_clauses`` (live problem-clause count) and ``eliminated``
         (currently eliminated variables, which shrinks on restore).
         ``learned_deleted`` counts every learnt clause ever discarded —
-        by DB reduction, preprocessing, or root simplification — so
-        portfolio aggregation can sum it across workers.
+        by DB reduction, preprocessing, or root simplification.
         """
         return {
             "conflicts": self.conflicts,
@@ -319,10 +279,7 @@ class SatSolver:
             self._assign.append(_UNDEF)
             self._level.append(0)
             self._reason.append(_NO_REASON)
-            if self._phase_rng is not None:
-                self._phase.append(self._phase_rng.getrandbits(1))
-            else:
-                self._phase.append(self._default_phase)
+            self._phase.append(0)
             self._activity.append(0.0)
             self._seen.append(0)
             self._watch_refs.append([])
@@ -348,16 +305,6 @@ class SatSolver:
         """The literals of the clause at ``ref`` (a copy)."""
         arena = self._arena
         return list(arena[ref:arena[ref - 1]])
-
-    def arena_view(self) -> memoryview:
-        """Int32 memoryview snapshot of the clause arena (introspection).
-
-        The live arena is a flat Python list — on CPython, list indexing
-        returns shared cached ints while ``array('i')`` boxes a fresh int
-        per read, a ~20% BCP tax measured on random 3-SAT — so the int32
-        typed view is materialized on demand rather than kept live.
-        """
-        return memoryview(array("i", self._arena))
 
     def add_clause(self, dimacs_lits: Iterable[int]) -> bool:
         """Add a clause (DIMACS literals).  Returns False iff now trivially
@@ -438,22 +385,6 @@ class SatSolver:
         act = self._clause_act
         return [(self.clause_lits(ref), act.get(ref))
                 for ref in self._learnt_refs]
-
-    def root_literals(self) -> List[int]:
-        """Root-level trail literals (internal encoding, a copy).
-
-        These are facts not represented in :meth:`clause_lists` — a
-        caller exporting the clause database (the portfolio path) must
-        ship them as unit clauses.
-        """
-        if self._trail_lim:
-            return list(self._trail[:self._trail_lim[0]])
-        return list(self._trail)
-
-    @property
-    def root_conflict(self) -> bool:
-        """True once the formula is known unsatisfiable at the root."""
-        return self._unsat
 
     def install_clauses(self, problem: List[List[int]],
                         learnts: List[Tuple[List[int], Optional[float]]]) -> None:
@@ -589,26 +520,7 @@ class SatSolver:
         return ok
 
     def _extend_model(self) -> List[int]:
-        """Snapshot the assignment, extended over eliminated variables."""
-        return self._reconstruct_model(list(self._assign))
-
-    def extend_external_model(self, values: Sequence[bool]) -> List[bool]:
-        """Extend an externally-produced satisfying assignment.
-
-        ``values`` (indexed by internal var; short lists are padded
-        with False) must satisfy this solver's *current* clause
-        database — e.g. a portfolio worker's model over the CNF this
-        solver exported after preprocessing.  Replays the
-        reconstruction stack so the variables this solver eliminated
-        get the same witness values a local solve would have produced.
-        """
-        model = [1 if v else 0 for v in values]
-        if len(model) < self.num_vars:
-            model.extend([0] * (self.num_vars - len(model)))
-        return [v == 1 for v in self._reconstruct_model(model)]
-
-    def _reconstruct_model(self, model: List[int]) -> List[int]:
-        """Extend ``model`` in place over eliminated variables.
+        """Snapshot the assignment, extended over eliminated variables.
 
         Replays the reconstruction stack in reverse: each block's
         witness defaults to false and flips to true iff one of the
@@ -624,6 +536,7 @@ class SatSolver:
         (the first met in the reversed walk) reflects the clause set at
         its latest elimination, so later duplicates are skipped.
         """
+        model = list(self._assign)
         extended = set()
         for witness, block in reversed(self._reconstruction):
             var = witness >> 1
@@ -692,15 +605,6 @@ class SatSolver:
     # ------------------------------------------------------------------
 
     def _pick_branch_var(self) -> int:
-        rng = self._decision_rng
-        if (rng is not None and self.random_decision_freq
-                and self._order.heap
-                and rng.random() < self.random_decision_freq):
-            # Random pick from the heap (lazy deletion keeps assigned
-            # vars in it; fall through to VSIDS if we hit one).
-            var = self._order.heap[rng.randrange(len(self._order.heap))]
-            if self._assign[var] == _UNDEF and var not in self._eliminated:
-                return var
         order = self._order
         assign = self._assign
         eliminated = self._eliminated
@@ -1044,12 +948,10 @@ class SatSolver:
             return False
 
         budget_left = conflict_budget
-        restart_base = self.restart_base
         restart_index = 0
-        restart_limit = restart_base * _luby_sequence(restart_index)
+        restart_limit = 128 * _luby_sequence(restart_index)
         conflicts_here = 0
         max_learnts = max(2000, len(self._clause_refs) // 2)
-        var_decay = self.var_decay
 
         progress_interval = self.progress_interval
         progress_hook = self.progress_hook
@@ -1093,7 +995,7 @@ class SatSolver:
                     self._learnt_refs.append(ref)
                     self._clause_act[ref] = self._cla_inc
                     self._enqueue(learnt[0], ref)
-                self._var_inc /= var_decay
+                self._var_inc /= 0.95
                 self._cla_inc /= 0.999
                 if len(self._learnt_refs) > max_learnts:
                     self._reduce_db()
@@ -1101,7 +1003,7 @@ class SatSolver:
                 if conflicts_here >= restart_limit:
                     conflicts_here = 0
                     restart_index += 1
-                    restart_limit = restart_base * _luby_sequence(restart_index)
+                    restart_limit = 128 * _luby_sequence(restart_index)
                     self.restarts += 1
                     self._cancel_until(0)
                     # Light inprocessing: once enough new root facts have

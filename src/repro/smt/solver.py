@@ -15,16 +15,13 @@ calls), which the lazy load-balancing refinement loop relies on.
 
 from __future__ import annotations
 
-import os
 import time
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
-from repro.obs import log as obslog
 from .bitblast import Blaster
 from .evaluator import evaluate
 from .sat import SatSolver
-from .sat.portfolio import PortfolioError, default_configs, race
 from .terms import Term
 from .tseitin import CnfBuilder
 
@@ -99,34 +96,16 @@ class Solver:
             reconstruction stack rebuilds eliminated variables for
             model extraction, so results and models are identical
             with it on or off.
-        portfolio: with ``portfolio > 1``, each :meth:`check` races that
-            many diversified solver processes over the CNF instead of
-            solving in-process (see :mod:`repro.smt.sat.portfolio`).
-            Loading and preprocessing still happen exactly once, in
-            process; only the CDCL search is raced, over the already
-            simplified clause database.
-            Verdicts and models are deterministic for a fixed portfolio
-            size regardless of which worker finishes first; if the race
-            machinery fails (spawn/pickling), the check falls back to
-            the serial path with a :class:`RuntimeWarning` and a
-            ``sat.portfolio_fallback`` metric tick.
     """
 
     def __init__(self, conflict_budget: Optional[int] = None,
                  progress_interval: int = 4096,
-                 preprocess: bool = True,
-                 portfolio: int = 1) -> None:
-        if portfolio < 1:
-            raise ValueError("portfolio must be >= 1")
+                 preprocess: bool = True) -> None:
         self._blaster = Blaster()
         self._cnf = CnfBuilder()
         self._sat = SatSolver()
         self._sat.preprocess_enabled = preprocess
         self.preprocess = preprocess
-        self.portfolio = portfolio
-        # Winner's extended model from the last portfolio SAT (indexed
-        # by DIMACS var - 1); None whenever the last check was serial.
-        self._portfolio_model: Optional[List[bool]] = None
         self._num_clauses_loaded = 0
         self._assertions: List[Term] = []
         # Assumption terms keep their definitional literal across checks so
@@ -191,7 +170,6 @@ class Solver:
                     lit = self._cnf.literal_for(blasted)
                     self._assumption_lit_cache[term.tid] = lit
                 assumption_lits.append(lit)
-        self._portfolio_model = None
         with obs.span("sat.load") as sp_load:
             loaded_from = self._num_clauses_loaded
             self._load_clauses()
@@ -206,12 +184,6 @@ class Solver:
                 before_pp = sat.stats()
                 sat.simplify()
                 self._record_preprocess(sp_pp, before_pp, sat.stats())
-        if self.portfolio > 1 and not sat.root_conflict:
-            result = self._check_portfolio(assumption_lits)
-            if result is not None:
-                return result
-            # Race machinery unavailable; continue on the serial path
-            # (the clause DB above is already loaded and simplified).
         progress = self.last_check_progress = []
         if self.progress_interval:
             sat.progress_interval = self.progress_interval
@@ -245,95 +217,12 @@ class Solver:
                     self.last_check_seconds)
         return result
 
-    def _check_portfolio(self, assumption_lits: List[int],
-                         ) -> Optional[Result]:
-        """Race ``self.portfolio`` solver processes over the current CNF.
-
-        The expensive, configuration-independent work — clause loading
-        and the preprocessing pipeline — already happened once in the
-        in-process solver (the caller runs the same preamble as a
-        serial check), so the race ships the *simplified* clause
-        database (problem clauses, learnts, root-level units) and the
-        workers race only the search, with ``preprocess=False``.  A
-        SAT winner's model is extended over the variables the parent's
-        preprocessor eliminated via the reconstruction stack.
-
-        Returns the check result, or None if the race machinery failed
-        (caller falls back to the serial path on the same, already
-        simplified solver state).
-        """
-        workers = self.portfolio
-        sat = self._sat
-
-        def dimacs(lit: int) -> int:
-            var = (lit >> 1) + 1
-            return -var if lit & 1 else var
-
-        clauses = [[dimacs(lit) for lit in lits]
-                   for lits in sat.clause_lists()]
-        clauses.extend([dimacs(lit) for lit in lits]
-                       for lits, _ in sat.learnt_lists())
-        clauses.extend([dimacs(lit)] for lit in sat.root_literals())
-        try:
-            cpus = len(os.sched_getaffinity(0))
-        except AttributeError:  # pragma: no cover - non-Linux
-            cpus = os.cpu_count() or 1
-        with obs.span("sat.portfolio", workers=workers, cpus=cpus,
-                      assumptions=len(assumption_lits)) as sp:
-            start = time.perf_counter()
-            try:
-                raced = race(clauses, sat.num_vars,
-                             assumptions=assumption_lits,
-                             conflict_budget=self.conflict_budget,
-                             preprocess=False,
-                             configs=default_configs(workers))
-            except PortfolioError as exc:
-                obslog.warn_event(
-                    "sat.portfolio_fallback",
-                    f"portfolio solving unavailable ({exc}); "
-                    "falling back to a serial solve",
-                    stacklevel=3, workers=workers, error=str(exc))
-                obs.metrics().counter("sat.portfolio_fallback").inc()
-                sp.set(outcome="fallback")
-                return None
-            self.last_check_seconds = time.perf_counter() - start
-            self.last_check_progress = []
-            stats = raced.stats
-            self.last_check_conflicts = stats.get("conflicts", 0)
-            self._portfolio_model = (
-                sat.extend_external_model(raced.model)
-                if raced.model is not None else None)
-            result = (UNKNOWN if raced.outcome is None
-                      else SAT if raced.outcome else UNSAT)
-            sp.set(outcome=result.name, winner_seed=raced.winner.seed,
-                   conflicts=self.last_check_conflicts,
-                   reported=len(raced.worker_outcomes))
-            metrics = obs.metrics()
-            if metrics.enabled:
-                metrics.counter("sat.portfolio_races").inc()
-                metrics.counter("sat.portfolio_workers").inc(workers)
-                for key in ("conflicts", "decisions", "propagations",
-                            "restarts", "learned_deleted"):
-                    metrics.counter(f"sat.{key}").inc(stats.get(key, 0))
-                metrics.gauge("sat.learned").set(stats.get("learned", 0))
-                metrics.histogram("sat.solve_seconds").observe(
-                    self.last_check_seconds)
-        return result
-
-    def _model_value(self, var: int) -> bool:
-        if self._portfolio_model is not None:
-            index = var - 1
-            if index >= len(self._portfolio_model):
-                return False
-            return self._portfolio_model[index]
-        return self._sat.model_value(var)
-
     def model(self) -> Model:
         """Model of the most recent :data:`SAT` check."""
         env: Dict[str, Union[bool, int]] = {}
         bv_parts: Dict[str, int] = {}
         for var, leaf in self._cnf.leaf_of_var.items():
-            val = self._model_value(var)
+            val = self._sat.model_value(var)
             if leaf.kind == "boolvar":
                 env[leaf.payload] = val
             else:  # bit(bvvar, i)

@@ -17,6 +17,7 @@ from repro.analysis.deps import (
     cache_key,
     device_hash,
     network_facts,
+    options_digest,
     options_fingerprint,
     query_cone,
 )
@@ -213,7 +214,10 @@ def test_failure_bound_and_options_change_the_key():
         net, options=EncoderOptions(model_ibgp=False))
     # Solver-side strategies are verdict-preserving: same key.
     assert key_of(net) == key_of(
-        net, options=EncoderOptions(preprocess=False, portfolio=4))
+        net, options=EncoderOptions(preprocess=False))
+    # Pinned so persisted verdict caches and encoding-cache keys stay
+    # valid when solver-only options are added or removed.
+    assert options_digest(EncoderOptions()) == "8bf96bcc6459"
 
 
 def test_options_fingerprint_ignores_solver_strategy_fields():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import obs
 from repro.serve import TTLLRUCache
 
 
@@ -46,6 +47,19 @@ class TestBasics:
         assert cache.get("k") == "new"
         assert cache.total_bytes == 100
         assert len(cache) == 1
+
+    def test_replace_same_key_is_not_an_eviction(self, clock):
+        cache = make(clock)
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            cache.put("k", "old", 300)
+            cache.put("other", "x", 50)
+            cache.put("k", "new", 200)
+        assert cache.evicted_scope == 0
+        assert tracer.metrics.counter(
+            "serve.cache.evicted", reason="scope").value == 0
+        assert cache.total_bytes == 250
+        assert cache.get("k") == "new"
 
 
 class TestTTL:

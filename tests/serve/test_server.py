@@ -6,6 +6,7 @@ path production traffic takes, minus only the CLI wrapper.
 """
 
 import json
+import socket
 import threading
 import urllib.error
 import urllib.request
@@ -17,6 +18,7 @@ from repro.net.loader import network_from_texts
 from repro.obs.ledger import RunLedger
 from repro.obs.promexport import parse_exposition
 from repro.serve import SnapshotRegistry, TTLLRUCache, make_server
+from repro.serve import server as server_mod
 
 from tests.serve.test_registry import build_texts
 
@@ -72,6 +74,22 @@ class TestLifecycle:
         assert status == 200
         assert doc["status"] == "ok"
         assert "cache" in doc
+
+    def test_accepted_connections_disable_nagle(self, server, monkeypatch):
+        # Keep-alive responses are written as headers then body; with
+        # Nagle on, the body stalls on the client's delayed ACK.
+        nodelay = []
+        original = server_mod._Handler.setup
+
+        def setup(handler):
+            original(handler)
+            nodelay.append(handler.connection.getsockopt(
+                socket.IPPROTO_TCP, socket.TCP_NODELAY))
+
+        monkeypatch.setattr(server_mod._Handler, "setup", setup)
+        status, _, _ = call(server, "GET", "/healthz")
+        assert status == 200
+        assert nodelay and all(nodelay)
 
     def test_ingest_show_delete(self, server):
         status, doc, _ = call(server, "POST", "/v1/snapshots",

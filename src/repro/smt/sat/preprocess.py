@@ -481,17 +481,18 @@ class Preprocessor:
         """
         solver = self.solver
         block = []
-        stored = []
+        others = []
         for idx in witness_idxs:
-            clause = self.clauses[idx]
-            block.append(clause)
-            stored.append(clause)
+            block.append(tuple(self.clauses[idx]))
             self._remove_clause(idx)
         for idx in other_idxs:
-            stored.append(self.clauses[idx])
+            others.append(tuple(self.clauses[idx]))
             self._remove_clause(idx)
+        # Tuples: both stores are read-only and live as long as the
+        # solver, so the cycle collector should not keep rescanning them.
+        block = tuple(block)
         solver._reconstruction.append((witness, block))
-        solver._elim_clauses[var] = stored
+        solver._elim_clauses[var] = block + tuple(others)
         solver._eliminated.add(var)
 
     # ------------------------------------------------------------------

@@ -19,6 +19,8 @@ flat-buffer style of modern C solvers, adapted to CPython:
   cached blocker literals.  The dominant skip path (blocker already true)
   touches only the blocker list; binary clauses use dedicated parallel
   implication lists of (implied_lit, clause_ref) and never move watches.
+  A slot no clause has used yet holds the shared empty tuple and turns
+  into a list on its first append (most literals never get a watch).
 * **Reasons** — a flat per-variable list of clause refs.
 
 Deleted learnt clauses leave gaps in the arena; a compacting GC remaps all
@@ -75,6 +77,17 @@ class _VarOrder:
     def grow(self, var: int) -> None:
         while len(self.position) <= var:
             self.position.append(-1)
+
+    def extend(self, start: int, stop: int) -> None:
+        """Add fresh variables ``start..stop-1`` (``start`` = current size).
+
+        Same result as ``grow`` + ``push`` per variable: activities are
+        never negative, so a new zero-activity key never sifts above its
+        parent and each variable lands at the heap tail in index order.
+        """
+        heap = self.heap
+        self.position.extend(range(len(heap), len(heap) + stop - start))
+        heap.extend(range(start, stop))
 
     def push(self, var: int) -> None:
         if self.position[var] != -1:
@@ -177,13 +190,14 @@ class SatSolver:
         self._learnt_refs: List[int] = []  # learnt clause refs
         # Parallel watcher arrays, indexed by the literal that just became
         # true: _watch_refs[lit][k] is a clause watching ``lit ^ 1`` and
-        # _watch_blk[lit][k] its cached blocker.
-        self._watch_refs: List[List[int]] = [[], []]
-        self._watch_blk: List[List[int]] = [[], []]
+        # _watch_blk[lit][k] its cached blocker.  An unused slot holds
+        # the shared ``()``; the first append replaces it with a list.
+        self._watch_refs: List[Sequence[int]] = [(), ()]
+        self._watch_blk: List[Sequence[int]] = [(), ()]
         # Parallel binary implication arrays: _bin_lits[lit][k] is implied
         # when ``lit`` becomes true; _bin_refs[lit][k] the clause ref.
-        self._bin_lits: List[List[int]] = [[], []]
-        self._bin_refs: List[List[int]] = [[], []]
+        self._bin_lits: List[Sequence[int]] = [(), ()]
+        self._bin_refs: List[Sequence[int]] = [(), ()]
         self._cla_inc = 1.0
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
@@ -203,7 +217,9 @@ class SatSolver:
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
         # Per eliminated var: its original clauses, for restore-on-reuse.
-        self._elim_clauses: Dict[int, List[list]] = {}
+        # Both stores are written once and only read, so they hold
+        # tuples, which the cycle collector stops tracking.
+        self._elim_clauses: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
         # Blocks of (witness_lit, clauses) replayed in reverse to extend
         # a model over eliminated variables.
         self._reconstruction: List[tuple] = []
@@ -274,24 +290,23 @@ class SatSolver:
 
     def ensure_vars(self, n: int) -> None:
         """Grow the variable pool so DIMACS vars ``1..n`` are usable."""
-        while self.num_vars < n:
-            self.num_vars += 1
-            self._assign.append(_UNDEF)
-            self._level.append(0)
-            self._reason.append(_NO_REASON)
-            self._phase.append(0)
-            self._activity.append(0.0)
-            self._seen.append(0)
-            self._watch_refs.append([])
-            self._watch_refs.append([])
-            self._watch_blk.append([])
-            self._watch_blk.append([])
-            self._bin_lits.append([])
-            self._bin_lits.append([])
-            self._bin_refs.append([])
-            self._bin_refs.append([])
-            self._order.grow(self.num_vars - 1)
-            self._order.push(self.num_vars - 1)
+        start = self.num_vars
+        if n <= start:
+            return
+        count = n - start
+        self.num_vars = n
+        self._assign.extend([_UNDEF] * count)
+        self._level.extend([0] * count)
+        self._reason.extend([_NO_REASON] * count)
+        self._phase.extend([0] * count)
+        self._activity.extend([0.0] * count)
+        self._seen.extend([0] * count)
+        empty = [()] * (2 * count)
+        self._watch_refs.extend(empty)
+        self._watch_blk.extend(empty)
+        self._bin_lits.extend(empty)
+        self._bin_refs.extend(empty)
+        self._order.extend(start, n)
 
     def _alloc(self, lits: Sequence[int]) -> int:
         """Append a clause to the arena; returns its ref (lit0 offset)."""
@@ -328,7 +343,8 @@ class SatSolver:
         seen = set()
         for dl in dimacs:
             var = abs(dl)
-            self.ensure_vars(var)
+            if var > self.num_vars:
+                self.ensure_vars(var)
             lit = (var - 1) * 2 + (0 if dl > 0 else 1)
             if lit ^ 1 in seen:
                 return True  # tautology
@@ -361,16 +377,25 @@ class SatSolver:
         arena = self._arena
         a = arena[ref]
         b = arena[ref + 1]
+        # Each slot pairs the clause ref with the clause's other literal
+        # (implied literal or blocker).  Parallel slots are ``()``
+        # together; AttributeError marks a slot's first append.
         if arena[ref - 1] - ref == 2:
-            self._bin_lits[a ^ 1].append(b)
-            self._bin_refs[a ^ 1].append(ref)
-            self._bin_lits[b ^ 1].append(a)
-            self._bin_refs[b ^ 1].append(ref)
-            return
-        self._watch_refs[a ^ 1].append(ref)
-        self._watch_blk[a ^ 1].append(b)
-        self._watch_refs[b ^ 1].append(ref)
-        self._watch_blk[b ^ 1].append(a)
+            refs, others = self._bin_refs, self._bin_lits
+        else:
+            refs, others = self._watch_refs, self._watch_blk
+        try:
+            refs[a ^ 1].append(ref)
+            others[a ^ 1].append(b)
+        except AttributeError:
+            refs[a ^ 1] = [ref]
+            others[a ^ 1] = [b]
+        try:
+            refs[b ^ 1].append(ref)
+            others[b ^ 1].append(a)
+        except AttributeError:
+            refs[b ^ 1] = [ref]
+            others[b ^ 1] = [a]
 
     # ------------------------------------------------------------------
     # Preprocessing interface (accessor contract — see docs/SOLVER.md)
@@ -403,10 +428,10 @@ class SatSolver:
         self._learnt_refs = []
         self._clause_act = {}
         size = 2 * self.num_vars + 2
-        self._watch_refs = [[] for _ in range(size)]
-        self._watch_blk = [[] for _ in range(size)]
-        self._bin_lits = [[] for _ in range(size)]
-        self._bin_refs = [[] for _ in range(size)]
+        self._watch_refs = [()] * size
+        self._watch_blk = [()] * size
+        self._bin_lits = [()] * size
+        self._bin_refs = [()] * size
         for lits in problem:
             ref = self._alloc(lits)
             self._attach(ref)
@@ -706,8 +731,12 @@ class SatSolver:
                     if vk == _UNDEF or (vk ^ (lk & 1)) == 1:
                         arena[ref + 1] = lk
                         arena[k] = false_lit
-                        watch_refs[lk ^ 1].append(ref)
-                        watch_blk[lk ^ 1].append(first)
+                        try:
+                            watch_refs[lk ^ 1].append(ref)
+                            watch_blk[lk ^ 1].append(first)
+                        except AttributeError:  # first use of the slot
+                            watch_refs[lk ^ 1] = [ref]
+                            watch_blk[lk ^ 1] = [first]
                         found = True
                         break
                 if found:

@@ -15,7 +15,10 @@ calls), which the lazy load-balancing refinement loop relies on.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
+from contextlib import contextmanager
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro import obs
@@ -50,6 +53,39 @@ class Result:
                 "UNKNOWN check result has no truth value; compare with "
                 "`is SAT` / `is UNSAT` / `is UNKNOWN` instead of bool()")
         return self.name == "sat"
+
+
+_gc_lock = threading.Lock()
+_gc_depth = 0
+_gc_owned = False
+
+
+@contextmanager
+def _gc_paused():
+    """Keep the cycle collector off while CNF and SAT state are built.
+
+    Bit-blasting, Tseitin, clause loading and preprocessing allocate
+    hundreds of thousands of small lists and tuples, none of them in a
+    reference cycle; every collection triggered meanwhile rescans the
+    whole (growing) heap for nothing.  The collector is process state,
+    so nested regions and overlapping regions in other threads share
+    one module-level count; collection comes back when the last region
+    exits, and only if the first one turned it off.
+    """
+    global _gc_depth, _gc_owned
+    with _gc_lock:
+        if _gc_depth == 0:
+            _gc_owned = gc.isenabled()
+            gc.disable()
+        _gc_depth += 1
+    try:
+        yield
+    finally:
+        with _gc_lock:
+            _gc_depth -= 1
+            if _gc_depth == 0 and _gc_owned:
+                _gc_owned = False
+                gc.enable()
 
 
 SAT = Result("sat")
@@ -131,15 +167,16 @@ class Solver:
         """
         with obs.span("smt.add", module=label, terms=len(terms)) as sp:
             vars_before = self._cnf.num_vars
-            clauses_before = len(self._cnf.clauses)
-            for term in terms:
-                if not term.is_bool:
-                    raise TypeError("assertions must be boolean terms")
-                self._assertions.append(term)
-                blasted = self._blaster.blast(term)
-                self._cnf.assert_term(blasted)
+            clauses_before = self._cnf.num_clauses
+            with _gc_paused():
+                for term in terms:
+                    if not term.is_bool:
+                        raise TypeError("assertions must be boolean terms")
+                    self._assertions.append(term)
+                    blasted = self._blaster.blast(term)
+                    self._cnf.assert_term(blasted)
             dv = self._cnf.num_vars - vars_before
-            dc = len(self._cnf.clauses) - clauses_before
+            dc = self._cnf.num_clauses - clauses_before
             sp.set(vars=dv, clauses=dc)
             if dv or dc:
                 metrics = obs.metrics()
@@ -161,29 +198,31 @@ class Solver:
         polarities (it may be assumed either way across calls); the
         mapping is cached per term so repeated batch checks are cheap.
         """
-        with obs.span("smt.assume", terms=len(assumptions)):
-            assumption_lits = []
-            for term in assumptions:
-                lit = self._assumption_lit_cache.get(term.tid)
-                if lit is None:
-                    blasted = self._blaster.blast(term)
-                    lit = self._cnf.literal_for(blasted)
-                    self._assumption_lit_cache[term.tid] = lit
-                assumption_lits.append(lit)
-        with obs.span("sat.load") as sp_load:
-            loaded_from = self._num_clauses_loaded
-            self._load_clauses()
-            sp_load.set(clauses=self._num_clauses_loaded - loaded_from)
         sat = self._sat
-        if self.preprocess:
-            # Freeze everything the outside world may still reference,
-            # then run the (gated) simplification pipeline under its own
-            # span so per-technique reductions are attributable.
-            self._freeze_protected(assumption_lits)
-            with obs.span("sat.preprocess") as sp_pp:
-                before_pp = sat.stats()
-                sat.simplify()
-                self._record_preprocess(sp_pp, before_pp, sat.stats())
+        with _gc_paused():
+            with obs.span("smt.assume", terms=len(assumptions)):
+                assumption_lits = []
+                for term in assumptions:
+                    lit = self._assumption_lit_cache.get(term.tid)
+                    if lit is None:
+                        blasted = self._blaster.blast(term)
+                        lit = self._cnf.literal_for(blasted)
+                        self._assumption_lit_cache[term.tid] = lit
+                    assumption_lits.append(lit)
+            with obs.span("sat.load") as sp_load:
+                loaded_from = self._num_clauses_loaded
+                self._load_clauses()
+                sp_load.set(clauses=self._num_clauses_loaded - loaded_from)
+            if self.preprocess:
+                # Freeze everything the outside world may still
+                # reference, then run the (gated) simplification
+                # pipeline under its own span so per-technique
+                # reductions are attributable.
+                self._freeze_protected(assumption_lits)
+                with obs.span("sat.preprocess") as sp_pp:
+                    before_pp = sat.stats()
+                    sat.simplify()
+                    self._record_preprocess(sp_pp, before_pp, sat.stats())
         progress = self.last_check_progress = []
         if self.progress_interval:
             sat.progress_interval = self.progress_interval
@@ -245,21 +284,25 @@ class Solver:
 
     @property
     def num_clauses(self) -> int:
-        return len(self._cnf.clauses)
+        return self._cnf.num_clauses
 
     @property
     def stats(self) -> Dict[str, int]:
         out = {"vars": self._cnf.num_vars,
-               "clauses": len(self._cnf.clauses)}
+               "clauses": self._cnf.num_clauses}
         out.update(self._sat.stats())
         return out
 
     def _load_clauses(self) -> None:
-        clauses = self._cnf.clauses
-        self._sat.ensure_vars(self._cnf.num_vars)
-        for i in range(self._num_clauses_loaded, len(clauses)):
-            self._sat.add_clause(clauses[i])
-        self._num_clauses_loaded = len(clauses)
+        """Hand the CNF buffer to the SAT core and drop it: the core's
+        arena is the only copy of a clause once it is loaded."""
+        cnf = self._cnf
+        add_clause = self._sat.add_clause
+        self._sat.ensure_vars(cnf.num_vars)
+        for clause in cnf.clauses:
+            add_clause(clause)
+        self._num_clauses_loaded += len(cnf.clauses)
+        cnf.clauses = []
 
     # ------------------------------------------------------------------
     # CNF preprocessing plumbing
@@ -312,7 +355,7 @@ class Solver:
         a full :meth:`check`.
         """
         sat = self._sat
-        with obs.span("sat.preprocess", forced=True) as sp_pp:
+        with _gc_paused(), obs.span("sat.preprocess", forced=True) as sp_pp:
             self._load_clauses()
             self._freeze_protected(())
             before = sat.stats()

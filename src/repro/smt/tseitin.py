@@ -26,14 +26,18 @@ class CnfBuilder:
     """Accumulates CNF for a sequence of asserted boolean terms.
 
     Attributes:
-        clauses: list of clauses; a clause is a list of non-zero ints in
-            DIMACS convention (positive = variable true).
+        clauses: clauses emitted but not yet handed to the SAT core; a
+            clause is a list of non-zero ints in DIMACS convention
+            (positive = variable true).  The solver facade drains this
+            buffer on every load, so the CNF is not kept twice.
+        num_clauses: every clause ever emitted, loaded or not.
         var_of_leaf: term id → SAT variable for input leaves, used by the
             model reconstruction in :mod:`repro.smt.solver`.
     """
 
     def __init__(self) -> None:
         self.clauses: List[List[int]] = []
+        self.num_clauses = 0
         self.num_vars = 0
         self.var_of_leaf: Dict[int, int] = {}
         self.leaf_of_var: Dict[int, Term] = {}
@@ -47,6 +51,7 @@ class CnfBuilder:
 
     def add_clause(self, lits: List[int]) -> None:
         self.clauses.append(lits)
+        self.num_clauses += 1
 
     def assert_term(self, term: Term) -> None:
         """Add clauses forcing ``term`` to be true."""

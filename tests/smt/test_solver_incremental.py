@@ -45,7 +45,7 @@ class TestIncrementalAdd:
         s.add(or_(a, b))
         assert s.check() is SAT
         loaded_after_first = s._num_clauses_loaded
-        assert loaded_after_first == len(s._cnf.clauses)
+        assert loaded_after_first == s.num_clauses
         sat_clauses_after_first = s._sat.stats()["live_clauses"]
         # Re-checking without new assertions must not reload anything.
         assert s.check() is SAT
@@ -54,7 +54,7 @@ class TestIncrementalAdd:
         # New assertions load only the delta.
         s.add(or_(b, c))
         assert s.check() is SAT
-        assert s._num_clauses_loaded == len(s._cnf.clauses)
+        assert s._num_clauses_loaded == s.num_clauses
         assert s._num_clauses_loaded > loaded_after_first
 
     def test_unsat_under_assumptions_does_not_poison_solver(self):
@@ -89,13 +89,13 @@ class TestAssumptionReuse:
         s.add(or_(a, b))
         guard = and_(a, not_(b))
         assert s.check([guard]) is SAT
-        clauses_after_first = len(s._cnf.clauses)
+        clauses_after_first = s.num_clauses
         lit = s._assumption_lit_cache[guard.tid]
         assert s.check([guard]) is SAT
         # Second use of the same assumption term re-uses the literal and
         # emits no further clauses.
         assert s._assumption_lit_cache[guard.tid] == lit
-        assert len(s._cnf.clauses) == clauses_after_first
+        assert s.num_clauses == clauses_after_first
 
     def test_model_from_assumption_check_is_consistent(self):
         x = bv_var("asm_x", 8)

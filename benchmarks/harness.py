@@ -14,15 +14,13 @@ Every benchmark prints the paper-style rows it regenerates, so running
 
 from __future__ import annotations
 
-import json
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Iterable, List, Sequence
 
 __all__ = ["SCALE", "OUT_DIR", "is_full", "cloud_indices",
-           "fattree_pods", "out_path", "print_table", "timed",
-           "emit_metrics"]
+           "fattree_pods", "out_path", "print_table", "timed"]
 
 SCALE = os.environ.get("REPRO_SCALE", "quick")
 
@@ -77,29 +75,3 @@ def timed():
     finally:
         cell[0] = time.perf_counter() - start
 
-
-def emit_metrics(name: str, payload: Dict[str, Any],
-                 tracer=None) -> str:
-    """Write a ``BENCH_<name>.json`` metrics file to ``benchmarks/out/``.
-
-    ``payload`` carries the benchmark's own numbers (timings, counts);
-    with a ``tracer``, its metrics snapshot and a per-phase duration
-    summary ride along under ``"metrics"``/``"phases"`` so runs are
-    mechanically comparable across commits.
-    """
-    doc: Dict[str, Any] = {"benchmark": name, "scale": SCALE}
-    doc.update(payload)
-    if tracer is not None:
-        phases: Dict[str, Dict[str, float]] = {}
-        for span in tracer.spans:
-            row = phases.setdefault(span["name"],
-                                    {"count": 0, "total_seconds": 0.0})
-            row["count"] += 1
-            row["total_seconds"] += span["duration"]
-        doc["phases"] = phases
-        doc["metrics"] = tracer.metrics.snapshot()
-    path = out_path(f"BENCH_{name}.json")
-    with open(path, "w") as handle:
-        json.dump(doc, handle, indent=1, sort_keys=True)
-    print(f"metrics written to {path}")
-    return path

@@ -20,10 +20,10 @@ fast; a seeded 2-pod tree re-checks verdict equality on a holding
 (UNSAT) instance, covering both flip directions.  The slow exhaustive
 verdict-preservation matrix lives in ``tests/analysis/test_pruning.py``.
 
-Writes ``benchmarks/out/BENCH_analysis.json``; ``compare_bench.py``
-hard-gates the deterministic counts (cone sizes, rules fired,
-pruned-clause counts) and treats timing as warn-only.
-Exits non-zero on any mismatch.
+Every count checked here (cone sizes, rules fired, pruned clauses) is
+deterministic for the seeded trees; the exit code is the gate and is
+non-zero on any mismatch.  The elapsed time is only reported:
+performance is measured by the ladder in ``BENCHMARK.json``.
 """
 
 import sys
@@ -48,9 +48,12 @@ from repro.net.policy import (
     RouteMapClause,
 )
 
-from benchmarks.harness import emit_metrics
-
 DEAD_SEQ = 20
+#: Upper bounds on the dataflow-tightened cones of the 20-router rack
+#: queries (the sizes measured when the bounds were set): a cone that
+#: grows back toward the structural widening fails the smoke.
+MAX_CONE_FRAGMENTS = 186
+MAX_CONE_DEVICES = 20
 
 
 def seed_dead_clauses(network, cores):
@@ -172,6 +175,12 @@ def main() -> int:
     print(f"cones at {rack}: reach {reach_fragments} fragments on "
           f"{reach_devices} device(s), loops {loops_fragments} on "
           f"{loops_devices}")
+    if (reach_fragments > MAX_CONE_FRAGMENTS
+            or reach_devices > MAX_CONE_DEVICES
+            or loops_fragments > MAX_CONE_FRAGMENTS):
+        print(f"rack-query cones exceed {MAX_CONE_FRAGMENTS} fragments "
+              f"or {MAX_CONE_DEVICES} devices", file=sys.stderr)
+        return 1
 
     # --- seeded cross-device defect ----------------------------------
     # 4 pods so the ToR has two uplinks to be asymmetric across.
@@ -201,8 +210,7 @@ def main() -> int:
         P.Reachability(sources="all", dest_prefix_text=other))
     print(f"seeded fat-tree(2) verdict: holds={xbase.holds} "
           f"(dead-pruned: {xdead.holds}, cold-pruned: {xcold.holds})")
-    cold_match = xbase.holds is xdead.holds is xcold.holds is True
-    if not cold_match:
+    if not (xbase.holds is xdead.holds is xcold.holds is True):
         print("verdict mismatch after pruning the cold deny",
               file=sys.stderr)
         return 1
@@ -219,8 +227,7 @@ def main() -> int:
           f"({base.num_variables - dead.num_variables} fewer)")
     print(f"clauses:   {base.num_clauses} -> {dead.num_clauses} "
           f"({base.num_clauses - dead.num_clauses} fewer)")
-    big_match = base.holds is dead.holds is cold.holds is False
-    if not big_match:
+    if not (base.holds is dead.holds is cold.holds is False):
         print("verdict mismatch on the violated instance",
               file=sys.stderr)
         return 1
@@ -238,29 +245,12 @@ def main() -> int:
                        dest_prefix_text=small.tor_subnet(small.tors[0])))
     print(f"fat-tree(2) verdict: holds={sbase.holds} "
           f"(dead-pruned: {sdead.holds}, cold-pruned: {scold.holds})")
-    small_match = sbase.holds is sdead.holds is scold.holds is True
-    if not small_match:
+    if not (sbase.holds is sdead.holds is scold.holds is True):
         print("verdict mismatch on the holding instance",
               file=sys.stderr)
         return 1
 
     elapsed = time.perf_counter() - start
-    emit_metrics("analysis", {
-        "pods": 4,
-        "seconds": round(elapsed, 4),
-        "smt_findings": len(shadowed),
-        "pruned_dead": prune_report.count,
-        "fixpoint_iterations": df.iterations,
-        "fixpoint_widened": 1.0 if df.widened else 0.0,
-        "cone_reach_devices": reach_devices,
-        "cone_reach_fragments": reach_fragments,
-        "cone_loops_devices": loops_devices,
-        "cone_loops_fragments": loops_fragments,
-        "cold_clauses_pruned": cold_pruned,
-        "cold_verdict_match": 1.0
-        if (big_match and small_match and cold_match) else 0.0,
-        "xdf_findings": len(xdf),
-    })
 
     print(f"analysis smoke OK ({elapsed:.1f} s)")
     return 0

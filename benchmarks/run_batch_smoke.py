@@ -15,7 +15,6 @@ import time
 from repro.core import verify_batch
 from repro.gen import build_fattree
 
-from benchmarks.harness import emit_metrics
 from benchmarks.test_bench_batch import (
     _assert_identical,
     _audit_queries,
@@ -42,17 +41,8 @@ def main() -> int:
     parallel = verify_batch(network, queries, workers=2)
     _assert_identical(queries, batched, parallel)
 
-    speedup = _report("Batch smoke (fat-tree, 2 pods)",
-                      len(network.devices), queries, naive_s, batch_s,
-                      batched)
-    emit_metrics("batch", {
-        "pods": 2,
-        "routers": len(network.devices),
-        "queries": len(queries),
-        "naive_seconds": round(naive_s, 4),
-        "batch_seconds": round(batch_s, 4),
-        "speedup": round(speedup, 4),
-    })
+    _report("Batch smoke (fat-tree, 2 pods)", len(network.devices),
+            queries, naive_s, batch_s, batched)
     if not all(r.holds is True for r in batched):
         print("unexpected violation in smoke network", file=sys.stderr)
         return 1

@@ -13,23 +13,27 @@ telemetry invariants the tracing layer promises:
   on two identical recorded runs, and deterministically exits 1 on a
   seeded CNF-size regression (count-based metrics, no timing
   dependence);
-* the ``--metrics-out`` Prometheus exposition parses strictly;
-* running with tracing disabled is not measurably slower (guard set
-  at 25% for CI noise on a sub-second workload; the <2% claim is
-  meaningful only at real workload sizes).  The traced side of the
-  guard includes the ledger append, so recording overhead is bounded
-  by the same band.
+* the ``--metrics-out`` Prometheus exposition parses strictly and
+  keeps at least 10 metric families;
+* running with tracing disabled is not measurably slower: the median
+  overhead over 10 untraced/traced pairs, alternating which side runs
+  first, stays under 25% (a guard sized for noise on a sub-second
+  workload; the <2% claim is meaningful only at real workload sizes).
+  The traced side of each pair includes the ledger append, so
+  recording overhead is bounded by the same band.
 
-Writes ``benchmarks/out/obs_smoke_trace.json`` and
-``benchmarks/out/obs_smoke_ledger.sqlite`` (uploaded as CI artifacts)
-and ``benchmarks/out/BENCH_obs.json``.  ``--pods 4`` reproduces the
-20-router acceptance configuration (~1 min on a laptop).
+The exit code is the gate.  Writes ``benchmarks/out/obs_smoke_trace.json``
+and ``benchmarks/out/obs_smoke_ledger.sqlite`` (uploaded as CI
+artifacts).  ``--pods 4`` reproduces the 20-router acceptance
+configuration (slow: all 20 timed runs are then at full scale).
 """
 
 import argparse
 import json
 import os
+import statistics
 import sys
+import tempfile
 import time
 
 from repro import obs
@@ -39,7 +43,15 @@ from repro.gen import build_fattree
 from repro.obs.ledger import RunLedger, build_record
 from repro.obs.promexport import parse_exposition, write_prometheus
 
-from benchmarks.harness import emit_metrics, out_path
+from benchmarks.harness import out_path
+
+#: Bound on tracing+ledger overhead, as the median over the pairs.
+MAX_OVERHEAD = 0.25
+#: Untraced/traced pairs timed for the overhead guard.
+OVERHEAD_PAIRS = 10
+#: Half the 20 families the exposition had when the bound was set:
+#: fewer means instrumentation went missing, not just moved.
+MIN_PROM_FAMILIES = 10
 
 
 def _queries(tree, max_reach=4):
@@ -48,6 +60,29 @@ def _queries(tree, max_reach=4):
                for t in tree.tors[:max_reach]]
     queries.append(BatchQuery(P.NoForwardingLoops(), label="loops"))
     return queries
+
+
+def _untraced_run(network, queries, workers):
+    """One batch with spans off (results still carry span-derived
+    timing through throwaway local tracers)."""
+    start = time.perf_counter()
+    results = verify_batch(network, queries, workers=workers)
+    return time.perf_counter() - start, results
+
+
+def _traced_run(network, queries, workers, ledger_path):
+    """One traced batch, timed INCLUDING the ledger append so the
+    overhead guard bounds recording cost too."""
+    tracer = obs.Tracer()
+    start = time.perf_counter()
+    with obs.use(tracer):
+        results = verify_batch(network, queries, workers=workers)
+    record = build_record("verify-batch", ["obs-smoke"],
+                          network=network, results=results,
+                          tracer=tracer)
+    with RunLedger(ledger_path) as ledger:
+        ledger.append(record)
+    return time.perf_counter() - start, results, tracer
 
 
 def main(argv=None) -> int:
@@ -71,24 +106,25 @@ def main(argv=None) -> int:
     if os.path.exists(ledger_path):
         os.remove(ledger_path)
 
-    # Untraced baseline (spans no-op; results still carry span-derived
-    # timing through throwaway local tracers).
-    start = time.perf_counter()
-    baseline = verify_batch(network, queries, workers=args.workers)
-    untraced_s = time.perf_counter() - start
-
-    # Traced run, timed INCLUDING the ledger append so the overhead
-    # guard below bounds recording cost too.
-    tracer = obs.Tracer()
-    start = time.perf_counter()
-    with obs.use(tracer):
-        results = verify_batch(network, queries, workers=args.workers)
-    record = build_record("verify-batch", ["obs-smoke"],
-                          network=network, results=results,
-                          tracer=tracer)
-    with RunLedger(ledger_path) as ledger:
-        ledger.append(record)
-    traced_s = time.perf_counter() - start
+    # Timed pairs, alternating which side runs first so warm-up and
+    # drift hit both sides alike.  The first pair's runs feed the
+    # checks below and its traced record is the ledger's first run;
+    # later pairs record into a throwaway ledger.
+    overheads = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for pair in range(OVERHEAD_PAIRS):
+            target = ledger_path if pair == 0 else os.path.join(
+                tmp, "timing.sqlite")
+            if pair % 2:
+                traced = _traced_run(network, queries, args.workers, target)
+                untraced = _untraced_run(network, queries, args.workers)
+            else:
+                untraced = _untraced_run(network, queries, args.workers)
+                traced = _traced_run(network, queries, args.workers, target)
+            if pair == 0:
+                _, baseline = untraced
+                _, results, tracer = traced
+            overheads.append((traced[0] - untraced[0]) / untraced[0])
 
     failures = []
 
@@ -203,27 +239,15 @@ def main(argv=None) -> int:
             prom_ok = False
     check(prom_ok, f"Prometheus exposition parses "
           f"({len(families) if prom_ok else 0} families)")
+    check(prom_ok and len(families) >= MIN_PROM_FAMILIES,
+          f"exposition keeps >= {MIN_PROM_FAMILIES} metric families")
 
     # --- overhead ----------------------------------------------------
-    overhead = (traced_s - untraced_s) / untraced_s
-    check(overhead < 0.25,
-          f"tracing+ledger overhead {overhead * 100:+.1f}% "
-          f"(untraced {untraced_s:.2f}s, traced {traced_s:.2f}s)")
-
-    emit_metrics("obs", {
-        "pods": args.pods,
-        "routers": len(network.devices),
-        "queries": len(queries),
-        "workers": args.workers,
-        "untraced_seconds": round(untraced_s, 4),
-        "traced_seconds": round(traced_s, 4),
-        "overhead_pct": round(overhead * 100, 2),
-        "spans": len(tracer.spans),
-        "ledger_runs": recorded,
-        "history_compare_identical": 1.0 if identical_rc == 0 else 0.0,
-        "history_compare_seeded": 1.0 if seeded_rc == 1 else 0.0,
-        "prom_families": len(families) if prom_ok else 0,
-    }, tracer=tracer)
+    overhead = statistics.median(overheads)
+    check(overhead < MAX_OVERHEAD,
+          f"tracing+ledger overhead {overhead * 100:+.1f}% (median of "
+          f"{len(overheads)} pairs, range {min(overheads) * 100:+.1f}% "
+          f"to {max(overheads) * 100:+.1f}%)")
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

@@ -8,26 +8,32 @@ asserts the contract the pipeline promises:
   protocol plus the reconstruction stack make simplification fully
   transparent to the verifier);
 * on the shared network encoding the pipeline removes at least 20% of
-  the clauses (the acceptance floor; measured >35% on fat-trees);
+  the clauses (the acceptance floor), and at ``--pods 4`` at least
+  33.23% (the 35.23% measured there, less 2 points of slack);
 * preprocessing actually ran (eliminated variables, subsumed clauses).
 
-Writes ``benchmarks/out/BENCH_preprocess.json`` with the clause-reduction and
-solve-time ratios that ``compare_bench.py`` gates on.  ``--pods 4``
-(the default) is the 20-router acceptance configuration; ``--pods 2``
-keeps ``make check`` fast.
+The exit code is the gate; the on/off timing table is only reported
+(performance is measured by the ladder in ``BENCHMARK.json``).
+``--pods 4`` (the default) is the 20-router acceptance configuration;
+``--pods 2`` keeps ``make check`` fast.
 """
 
 import argparse
 import sys
 import time
 
-from repro import obs
 from repro.core import EncoderOptions, Verifier, properties as P
 from repro.core.encoder import NetworkEncoder
 from repro.gen import build_fattree
 from repro.smt import Solver
 
-from benchmarks.harness import emit_metrics, print_table
+from benchmarks.harness import print_table
+
+#: Clause-reduction floor at any scale (the acceptance criterion).
+MIN_REDUCTION_PCT = 20.0
+#: Tighter floor at the 20-router configuration: the measured 35.23%
+#: less 2 points, so a weaker pipeline fails the smoke.
+MIN_REDUCTION_PCT_PODS4 = 33.23
 
 
 def _queries(tree):
@@ -78,10 +84,7 @@ def main(argv=None) -> int:
             failures.append(what)
 
     off_verdicts, off_s = _verify_all(network, queries, preprocess=False)
-    tracer = obs.Tracer()
-    with obs.use(tracer):
-        on_verdicts, on_s = _verify_all(network, queries,
-                                        preprocess=True)
+    on_verdicts, on_s = _verify_all(network, queries, preprocess=True)
 
     check(on_verdicts == off_verdicts,
           f"verdicts identical with preprocessing on/off "
@@ -90,8 +93,9 @@ def main(argv=None) -> int:
           "fat-tree reachability holds")
 
     reduction, delta = _clause_reduction(tree, queries[0])
-    check(reduction >= 20.0,
-          f"clause reduction {reduction:.1f}% >= 20% "
+    floor = MIN_REDUCTION_PCT_PODS4 if args.pods == 4 else MIN_REDUCTION_PCT
+    check(reduction >= floor,
+          f"clause reduction {reduction:.2f}% >= {floor}% "
           f"({delta['live_clauses_before']} -> "
           f"{delta['live_clauses_after']})")
     check(delta["pp_eliminated_vars"] > 0, "variables were eliminated")
@@ -105,22 +109,6 @@ def main(argv=None) -> int:
                 [[len(network.devices), len(queries),
                   f"{off_s:.2f}", f"{on_s:.2f}",
                   f"{solve_ratio:.2f}x", f"{reduction:.1f}%"]])
-
-    emit_metrics("preprocess", {
-        "pods": args.pods,
-        "routers": len(network.devices),
-        "queries": len(queries),
-        "off_seconds": round(off_s, 4),
-        "on_seconds": round(on_s, 4),
-        "solve_ratio": round(solve_ratio, 4),
-        "clause_reduction_pct": round(reduction, 2),
-        "live_clauses_before": delta["live_clauses_before"],
-        "live_clauses_after": delta["live_clauses_after"],
-        "eliminated_vars": delta["pp_eliminated_vars"],
-        "pure_literals": delta["pp_pure_literals"],
-        "subsumed": delta["pp_subsumed"],
-        "strengthened": delta["pp_strengthened"],
-    }, tracer=tracer)
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

@@ -4,14 +4,14 @@ On random 3-SAT and on a real fat-tree verification CNF, the flat-arena
 CDCL core and the list-based reference must produce identical verdicts,
 identical full counter snapshots (conflicts, decisions, propagations,
 ...) and identical models.  These are deterministic for a fixed
-workload, so they hard-gate in ``compare_bench.py``.
+workload; any mismatch fails the exit code, which is the gate.
 
-It also measures BCP throughput (``props_per_sec``) and the arena/
-reference solve-time ratio (``solve_ratio``; > 1 means the arena is
-faster).  Both are timing-derived and therefore warn-only in the gate.
+It also prints BCP throughput and the arena/reference solve-time ratio
+(> 1 means the arena is faster).  Both are timing-derived and only
+reported: performance is measured by the ladder in ``BENCHMARK.json``.
 
-Writes ``benchmarks/out/BENCH_satcore.json``.  ``--pods 2`` (the default) keeps
-``make check`` fast; CI runs ``--pods 4``.
+``--pods 2`` (the default) keeps ``make check`` fast; CI runs
+``--pods 4``.
 """
 
 import argparse
@@ -26,7 +26,7 @@ from repro.net import ip as iplib
 from repro.smt import Solver, not_
 from repro.smt.sat import ReferenceSatSolver, SatSolver
 
-from benchmarks.harness import emit_metrics, print_table
+from benchmarks.harness import print_table
 
 
 def random_cnf(seed, n=140, ratio=4.26):
@@ -132,17 +132,6 @@ def main(argv=None) -> int:
                 ["props/s", "arena s", "ref s", "ratio"],
                 [[f"{props_per_sec / 1000:.1f}k", f"{arena_s:.2f}",
                   f"{ref_s:.2f}", f"{solve_ratio:.2f}x"]])
-
-    emit_metrics("satcore", {
-        "pods": args.pods,
-        "seeds": args.seeds,
-        "verdict_match": 1.0 if all_verdicts else 0.0,
-        "counter_match": 1.0 if all_counters else 0.0,
-        "props_per_sec": round(props_per_sec, 1),
-        "arena_seconds": round(arena_s, 4),
-        "reference_seconds": round(ref_s, 4),
-        "solve_ratio": round(solve_ratio, 4),
-    })
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

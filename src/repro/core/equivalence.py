@@ -15,8 +15,9 @@ the same template, so ordering is stable).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
+from repro.net import ip as iplib
 from repro.net.device import DeviceConfig
 from repro.net.topology import Network
 from repro.smt import (
@@ -53,19 +54,61 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
       the role-defining ``mgmt``/``rack`` interfaces pair up, point-to-
       point link interfaces are ignored).
     """
-    from .verifier import VerificationResult
+    from .verifier import (
+        VerificationResult,
+        _budget_message,
+        _query_tracer,
+        _span_stats,
+    )
 
     options = options or EncoderOptions()
     dev_a = network.device(router_a)
     dev_b = network.device(router_b)
     name = f"LocalEquivalence[{router_a},{router_b}]"
 
-    structural = _structural_mismatch(dev_a, dev_b,
-                                      check_ifaces=iface_pairing == "sorted")
+    tracer = _query_tracer()
+    root = tracer.span("verify.local_equivalence",
+                       routers=f"{router_a},{router_b}")
+    with root:
+        structural = _structural_mismatch(
+            dev_a, dev_b, check_ifaces=iface_pairing == "sorted")
+        if structural is None:
+            with tracer.span("verify.encode") as sp_shared:
+                packet, differences = _differences(
+                    network, dev_a, dev_b, options, iface_pairing)
+                solver = Solver(conflict_budget=conflict_budget,
+                                preprocess=options.preprocess)
+            with tracer.span("verify.property", property=name) as sp_query:
+                solver.add(or_(*differences) if differences else FALSE,
+                           label="property")
+            with tracer.span("verify.solve") as sp_solve:
+                outcome = solver.check()
+            if outcome is SAT:
+                with tracer.span("verify.model"):
+                    dst = solver.model().eval(packet.dst_ip)
     if structural is not None:
         return VerificationResult(property_name=name, holds=False,
-                                  message=structural)
+                                  message=structural,
+                                  seconds=root.duration)
+    stats = _span_stats(root, sp_shared, sp_query,
+                        [(sp_solve, solver.last_check_conflicts)], solver)
+    if outcome is UNSAT:
+        return VerificationResult(property_name=name, holds=True, **stats)
+    if outcome is UNKNOWN:
+        return VerificationResult(property_name=name, holds=None,
+                                  message=_budget_message(solver), **stats)
+    return VerificationResult(
+        property_name=name, holds=False,
+        message=(f"{router_a} and {router_b} differ, e.g. for "
+                 f"dstIp={iplib.format_ip(dst)}"),
+        **stats)
 
+
+def _differences(network: Network, dev_a: DeviceConfig,
+                 dev_b: DeviceConfig, options: EncoderOptions,
+                 iface_pairing: str) -> Tuple[PacketVars, List[Term]]:
+    """The shared symbolic packet plus one term per paired decision
+    that is true when the two routers decide differently."""
     factory = RecordFactory(Widths(), _field_set(network, options))
     packet = PacketVars(
         dst_ip=bv_var("eqv.pkt.dstIp", 32),
@@ -109,30 +152,7 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
                                   shared_best, packet, hoisted, f"b.exp{i}")
         differences.append(not_(and_(
             *factory.equate(exported_a, exported_b))))
-
-    solver = Solver(conflict_budget=conflict_budget,
-                    preprocess=options.preprocess)
-    solver.add(or_(*differences) if differences else FALSE)
-    outcome = solver.check()
-    if outcome is UNSAT:
-        return VerificationResult(property_name=name, holds=True,
-                                  num_variables=solver.num_variables,
-                                  num_clauses=solver.num_clauses)
-    if outcome is UNKNOWN:
-        return VerificationResult(property_name=name, holds=None,
-                                  message="budget exhausted",
-                                  num_variables=solver.num_variables,
-                                  num_clauses=solver.num_clauses)
-    model = solver.model()
-    from repro.net import ip as iplib
-
-    dst = model.eval(packet.dst_ip)
-    return VerificationResult(
-        property_name=name, holds=False,
-        message=(f"{router_a} and {router_b} differ, e.g. for "
-                 f"dstIp={iplib.format_ip(dst)}"),
-        num_variables=solver.num_variables,
-        num_clauses=solver.num_clauses)
+    return packet, differences
 
 
 def _structural_mismatch(dev_a: DeviceConfig, dev_b: DeviceConfig,

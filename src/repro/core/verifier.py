@@ -13,7 +13,6 @@ lazy refinement loop for load balancing.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence
 
@@ -67,9 +66,13 @@ def _query_tracer():
     return tracer if tracer.enabled else obs.Tracer(lane="verify")
 
 
-def _span_stats(root, sp_shared, sp_query, sp_solve,
+def _span_stats(root, sp_shared, sp_query, solves,
                 solver: Solver) -> Dict:
-    """Result statistics derived from the query's closed spans."""
+    """Result statistics derived from the query's closed spans.
+
+    ``solves`` holds one ``(verify.solve span, conflicts)`` pair per
+    check the query ran (several for the lazy refinement loop).
+    """
     return dict(
         seconds=root.duration,
         num_variables=solver.num_variables,
@@ -77,8 +80,8 @@ def _span_stats(root, sp_shared, sp_query, sp_solve,
         encode_seconds=sp_shared.duration + sp_query.duration,
         encode_shared_seconds=sp_shared.duration,
         encode_query_seconds=sp_query.duration,
-        solve_seconds=sp_solve.duration,
-        conflicts=solver.last_check_conflicts)
+        solve_seconds=sum(sp.duration for sp, _ in solves),
+        conflicts=sum(conflicts for _, conflicts in solves))
 
 
 def _budget_message(solver: Solver) -> str:
@@ -240,27 +243,28 @@ class Verifier:
                            label="instrumentation")
                 for assumption in assumptions:
                     solver.add(assumption(enc), label="assumptions")
-                if getattr(prop, "lazy", False):
-                    return self._lazy_verify(prop, enc, solver,
-                                             tracer, root)
-                solver.add(not_(prop_term), label="property")
-            with tracer.span("verify.solve") as sp_solve:
-                outcome = solver.check()
-            if outcome is SAT:
-                with tracer.span("verify.model"):
-                    model = solver.model()
-                    counterexample = extract_counterexample(enc, model)
-                    message = prop.describe_violation(enc, model)
-        stats = _span_stats(root, sp_shared, sp_query, sp_solve, solver)
-        if outcome is UNSAT:
-            return VerificationResult(
-                property_name=name, holds=True, **stats)
-        if outcome is UNKNOWN:
-            return VerificationResult(
-                property_name=name, holds=None,
-                message=_budget_message(solver), **stats)
+                lazy = getattr(prop, "lazy", False)
+                if not lazy:
+                    solver.add(not_(prop_term), label="property")
+            if lazy:
+                outcome, counterexample, message, solves = \
+                    self._lazy_verify(prop, enc, solver, tracer)
+            else:
+                with tracer.span("verify.solve") as sp_solve:
+                    outcome = solver.check()
+                solves = [(sp_solve, solver.last_check_conflicts)]
+                counterexample, message = None, ""
+                if outcome is SAT:
+                    with tracer.span("verify.model"):
+                        model = solver.model()
+                        counterexample = extract_counterexample(enc, model)
+                        message = prop.describe_violation(enc, model)
+                elif outcome is UNKNOWN:
+                    message = _budget_message(solver)
+        stats = _span_stats(root, sp_shared, sp_query, solves, solver)
+        holds = {UNSAT: True, UNKNOWN: None, SAT: False}[outcome]
         return VerificationResult(
-            property_name=name, holds=False,
+            property_name=name, holds=holds,
             counterexample=counterexample, message=message, **stats)
 
     # ------------------------------------------------------------------
@@ -311,32 +315,26 @@ class Verifier:
     # ------------------------------------------------------------------
 
     def _lazy_verify(self, prop, enc: EncodedNetwork, solver: Solver,
-                     tracer, root,
-                     max_iterations: int = 200) -> VerificationResult:
-        def elapsed() -> float:
-            return time.perf_counter() - root.start
-
+                     tracer, max_iterations: int = 200):
+        """Refine until a stable state violates ``prop`` or none is
+        left.  Returns ``(outcome, counterexample, message, solves)``
+        with ``solves`` the ``(span, conflicts)`` of every iteration's
+        check, for the result's cost statistics."""
+        solves = []
         for iteration in range(max_iterations):
-            with tracer.span("verify.solve", lazy_iteration=iteration):
+            with tracer.span("verify.solve",
+                             lazy_iteration=iteration) as sp_solve:
                 outcome = solver.check()
+            solves.append((sp_solve, solver.last_check_conflicts))
             if outcome is UNSAT:
-                return VerificationResult(
-                    property_name=type(prop).__name__, holds=True,
-                    seconds=elapsed(),
-                    num_variables=solver.num_variables,
-                    num_clauses=solver.num_clauses)
+                return UNSAT, None, "", solves
             if outcome is UNKNOWN:
-                break
+                return UNKNOWN, None, _budget_message(solver), solves
             model = solver.model()
             violation = prop.check_model(enc, model)
             if violation is not None:
-                return VerificationResult(
-                    property_name=type(prop).__name__, holds=False,
-                    counterexample=extract_counterexample(enc, model),
-                    message=violation,
-                    seconds=elapsed(),
-                    num_variables=solver.num_variables,
-                    num_clauses=solver.num_clauses)
+                return (SAT, extract_counterexample(enc, model), violation,
+                        solves)
             # Block this forwarding configuration and search for another
             # stable state.
             block = []
@@ -347,12 +345,7 @@ class Verifier:
             if not block:
                 break
             solver.add(or_(*block), label="refinement")
-        return VerificationResult(
-            property_name=type(prop).__name__, holds=None,
-            message="lazy refinement budget exhausted",
-            seconds=elapsed(),
-            num_variables=solver.num_variables,
-            num_clauses=solver.num_clauses)
+        return UNKNOWN, None, "lazy refinement budget exhausted", solves
 
     # ------------------------------------------------------------------
     # Fault-invariance (§5): P holds with no failures iff it holds with k
@@ -405,7 +398,9 @@ class Verifier:
                     failed += [key for key, term in enc1.failed_ext.items()
                                if model.eval(term)]
                     counterexample = extract_counterexample(enc1, model)
-        stats = _span_stats(root, sp_shared, sp_query, sp_solve, solver)
+        stats = _span_stats(root, sp_shared, sp_query,
+                            [(sp_solve, solver.last_check_conflicts)],
+                            solver)
         if outcome is UNSAT:
             return VerificationResult(property_name=name, holds=True,
                                       **stats)
@@ -480,7 +475,9 @@ class Verifier:
                             if model.eval(reach0[r]) != model.eval(
                                 reach1[r])]
                     counterexample = extract_counterexample(enc1, model)
-        stats = _span_stats(root, sp_shared, sp_query, sp_solve, solver)
+        stats = _span_stats(root, sp_shared, sp_query,
+                            [(sp_solve, solver.last_check_conflicts)],
+                            solver)
         if outcome is UNSAT:
             return VerificationResult(property_name=name, holds=True,
                                       **stats)
@@ -511,16 +508,10 @@ class Verifier:
         """
         from .equivalence import check_local_equivalence
 
-        tracer = _query_tracer()
-        root = tracer.span("verify.local_equivalence",
-                           routers=f"{router_a},{router_b}")
-        with root:
-            result = check_local_equivalence(
-                self.network, router_a, router_b,
-                options=self.options, conflict_budget=self.conflict_budget,
-                iface_pairing=iface_pairing)
-        result.seconds = root.duration
-        return result
+        return check_local_equivalence(
+            self.network, router_a, router_b,
+            options=self.options, conflict_budget=self.conflict_budget,
+            iface_pairing=iface_pairing)
 
     # ------------------------------------------------------------------
     # Full equivalence of two networks (§5)
@@ -566,7 +557,9 @@ class Verifier:
                 with tracer.span("verify.model"):
                     model = solver.model()
                     counterexample = extract_counterexample(enc_a, model)
-        stats = _span_stats(root, sp_shared, sp_query, sp_solve, solver)
+        stats = _span_stats(root, sp_shared, sp_query,
+                            [(sp_solve, solver.last_check_conflicts)],
+                            solver)
         if outcome is UNSAT:
             return VerificationResult(property_name=name, holds=True,
                                       **stats)

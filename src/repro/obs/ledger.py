@@ -20,9 +20,9 @@ run) recording every ``verify`` / ``verify-batch`` / ``diff`` /
 
 The ledger is the substrate the ROADMAP's verification-as-a-service
 item needs (run records keyed by config hash = snapshot ids), and
-``repro history compare`` turns the hand-curated
-``benchmarks/baselines/`` workflow into something any user gets on
-their own corpus: record two runs, diff them, gate CI on the result.
+``repro history compare`` gives any user run-over-run regression
+checks on their own corpus: record two runs, diff them, gate CI on
+the result.
 
 Concurrency: writers use SQLite's own locking (one short IMMEDIATE
 transaction per run); readers never block writers beyond that.  The

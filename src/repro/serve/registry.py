@@ -176,47 +176,75 @@ class SnapshotRegistry:
         if not root.is_dir():
             return
         for meta_path in sorted(root.glob("*/*/meta.json")):
-            try:
-                meta = json.loads(meta_path.read_text())
-            except (OSError, json.JSONDecodeError):
-                continue
-            if not isinstance(meta, dict):
-                continue
-            if meta.get("version") != _META_VERSION:
-                continue
             base = meta_path.parent
+            reason = self._restore_one(base)
+            if reason is not None:
+                log_event(
+                    "serve.snapshot.restore_skipped",
+                    tenant=base.parent.name,
+                    snapshot=base.name,
+                    reason=reason,
+                )
+
+    def _restore_one(self, base: Path) -> Optional[str]:
+        """Reload the snapshot persisted under ``base``; returns why it
+        was skipped, or None once restored.
+
+        The configs on disk are the truth, not ``meta.json``: a crash
+        between ``_persist`` writing the configs and replacing
+        ``meta.json`` leaves the old revision's identity beside new (or
+        torn) configs.  Trusting it would cache this revision's
+        encodings under another revision's content address, so the
+        hash is recomputed and a mismatch skips the snapshot.
+        """
+        try:
+            meta = json.loads((base / "meta.json").read_text())
+        except (OSError, json.JSONDecodeError):
+            return "meta.json unreadable"
+        if not isinstance(meta, dict) or meta.get("version") != _META_VERSION:
+            return "meta.json has an unknown format"
+        try:
             texts = {
                 entry.name: entry.read_text()
                 for entry in sorted((base / "configs").glob("*"))
                 if entry.is_file()
             }
-            if not texts:
-                continue
-            snap = Snapshot(
-                tenant=meta["tenant"],
-                name=meta["name"],
-                snapshot_id=meta["snapshot_id"],
-                config_hash=meta["config_hash"],
-                files=len(texts),
-                routers=meta.get("routers", 0),
-                created=meta.get("created", 0.0),
-                refreshed=meta.get("refreshed", 0.0),
-                refreshes=meta.get("refreshes", 0),
-                queries_run=meta.get("queries_run", 0),
-                replayed=meta.get("replayed", 0),
-                texts=texts,
-            )
-            key = (snap.tenant, snap.name)
-            self._snapshots[key] = snap
-            self._verdicts[key] = VerdictCache.load(
-                str(base / "verdicts.json"),
-            )
-            log_event(
-                "serve.snapshot.restored",
-                tenant=snap.tenant,
-                snapshot=snap.name,
-                snapshot_id=snap.snapshot_id,
-            )
+        except (OSError, UnicodeDecodeError):
+            return "configs unreadable"
+        if not texts:
+            return "no configs"
+        try:
+            network = network_from_texts(texts)
+        except ValueError as exc:
+            return f"configs do not parse: {exc}"
+        config_hash = network_hash(network)
+        if config_hash != meta.get("config_hash"):
+            return "configs do not hash to meta.json's config_hash"
+        snap = Snapshot(
+            tenant=base.parent.name,
+            name=base.name,
+            snapshot_id=config_hash[:12],
+            config_hash=config_hash,
+            files=len(texts),
+            routers=len(network.devices),
+            created=meta.get("created", 0.0),
+            refreshed=meta.get("refreshed", 0.0),
+            refreshes=meta.get("refreshes", 0),
+            queries_run=meta.get("queries_run", 0),
+            replayed=meta.get("replayed", 0),
+            texts=texts,
+        )
+        key = (snap.tenant, snap.name)
+        self._snapshots[key] = snap
+        self._verdicts[key] = VerdictCache.load(str(base / "verdicts.json"))
+        self.cache.put(snap.scope + "net", network, _network_size(texts))
+        log_event(
+            "serve.snapshot.restored",
+            tenant=snap.tenant,
+            snapshot=snap.name,
+            snapshot_id=snap.snapshot_id,
+        )
+        return None
 
     def _save_verdicts(self, snap: Snapshot) -> None:
         base = self._snapshot_dir(snap.tenant, snap.name)

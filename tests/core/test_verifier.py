@@ -315,6 +315,34 @@ class TestLoadBalancing:
         assert result.holds is False
         assert "imbalance" in result.message
 
+    def test_lazy_result_carries_cost_stats(self):
+        from repro import obs
+
+        net = diamond().build()
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            result = Verifier(net).verify(P.LoadBalanced(
+                source_loads={"S": 1.0},
+                monitor=[("L", "R")], threshold=0.01,
+                dest_prefix_text="10.9.0.0/24"))
+        assert result.holds is True
+        spans = tracer.spans
+        solves = [s for s in spans if s["name"] == "verify.solve"]
+        # The even split is only proven after refining at least one
+        # stable state away: several checks, summed into one result.
+        assert len(solves) >= 2
+        assert result.solve_seconds == pytest.approx(
+            sum(s["duration"] for s in solves))
+        assert result.conflicts == sum(
+            s["attrs"]["conflicts"] for s in spans
+            if s["name"] == "sat.solve")
+        assert result.conflicts > 0
+        assert result.encode_seconds > 0
+        assert result.encode_seconds == pytest.approx(
+            result.encode_shared_seconds + result.encode_query_seconds)
+        assert (result.encode_seconds + result.solve_seconds
+                <= result.seconds)
+
 
 class TestFaultInvariance:
     def test_diamond_is_fault_invariant(self):
@@ -384,6 +412,54 @@ class TestEquivalence:
         net = b.build()
         result = Verifier(net).verify_local_equivalence("A", "B")
         assert result.holds is False
+
+    @staticmethod
+    def split_guard_network():
+        """A's ACL denies 172.16/12 in one rule, B's in two /13 halves:
+        equivalent, but the solver needs conflicts to prove it."""
+        b = NetworkBuilder()
+        for name, addr in (("A", "10.50.0.1/24"), ("B", "10.51.0.1/24")):
+            dev = b.device(name)
+            dev.enable_bgp(65001)
+            dev.interface("e9", addr, acl_in="GUARD")
+        b.device("A").acl("GUARD", [
+            AclRule("deny", dst_network=iplib.parse_ip("172.16.0.0"),
+                    dst_length=12),
+            AclRule("permit")])
+        b.device("B").acl("GUARD", [
+            AclRule("deny", dst_network=iplib.parse_ip("172.16.0.0"),
+                    dst_length=13),
+            AclRule("deny", dst_network=iplib.parse_ip("172.24.0.0"),
+                    dst_length=13),
+            AclRule("permit")])
+        return b.build()
+
+    def test_local_equivalence_result_is_complete(self):
+        from repro import obs
+
+        net = self.split_guard_network()
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            result = Verifier(net).verify_local_equivalence("A", "B")
+        assert result.holds is True
+        spans = {s["name"]: s for s in tracer.spans}
+        assert result.solve_seconds == pytest.approx(
+            spans["verify.solve"]["duration"])
+        assert result.conflicts == spans["sat.solve"]["attrs"]["conflicts"]
+        assert result.conflicts > 0
+        assert result.encode_seconds > 0
+        assert result.encode_seconds == pytest.approx(
+            result.encode_shared_seconds + result.encode_query_seconds)
+        modules = {m["labels"].get("module")
+                   for m in tracer.metrics.snapshot().values()
+                   if m["name"] == "cnf.clauses"}
+        assert modules == {"property"}
+
+        unknown = Verifier(net, conflict_budget=1).verify_local_equivalence(
+            "A", "B")
+        assert unknown.holds is None
+        assert unknown.message.startswith(
+            "conflict budget exhausted after 1 conflicts")
 
     def test_full_equivalence_of_identical_networks(self):
         b1, _ = ospf_chain(3)

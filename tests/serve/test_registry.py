@@ -229,3 +229,77 @@ class TestPersistence:
                                  state_dir=str(state))
         with pytest.raises(ApiError):
             fresh.resolve("t1", "prod")
+
+    @staticmethod
+    def skipped(caplog):
+        return [r.reason for r in caplog.records
+                if getattr(r, "event", "") == "serve.snapshot.restore_skipped"]
+
+    def test_configs_rewritten_after_meta_are_not_trusted(
+            self, tmp_path, texts, caplog):
+        # A crash inside _persist after the configs were written but
+        # before meta.json was replaced: meta.json still names the old
+        # revision, the configs are the new one.
+        state = tmp_path / "serve-state"
+        first = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        first.ingest("t1", texts, name="prod")
+        first.ingest("t1", texts, name="other")
+        configs = state / "tenants" / "t1" / "prod" / "configs"
+        for name, text in build_texts("10.8.0.1/24").items():
+            (configs / name).write_text(text)
+
+        with caplog.at_level("INFO", logger="repro"):
+            second = SnapshotRegistry(cache=TTLLRUCache(),
+                                      state_dir=str(state))
+        with pytest.raises(ApiError):
+            second.resolve("t1", "prod")
+        assert second.resolve("t1", "other").texts == texts
+        assert self.skipped(caplog) == [
+            "configs do not hash to meta.json's config_hash"]
+
+    def test_torn_config_is_skipped(self, tmp_path, texts, caplog):
+        state = tmp_path / "serve-state"
+        SnapshotRegistry(cache=TTLLRUCache(),
+                         state_dir=str(state)).ingest("t1", texts,
+                                                      name="prod")
+        config = state / "tenants" / "t1" / "prod" / "configs" / "R3.cfg"
+        config.write_text(config.read_text()[:-40])
+
+        with caplog.at_level("INFO", logger="repro"):
+            second = SnapshotRegistry(cache=TTLLRUCache(),
+                                      state_dir=str(state))
+        assert len(second) == 0
+        assert len(self.skipped(caplog)) == 1
+
+    def test_truncated_meta_keeps_other_snapshots(self, tmp_path, texts,
+                                                  caplog):
+        state = tmp_path / "serve-state"
+        first = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        first.ingest("t1", texts, name="prod")
+        kept = first.ingest("t2", texts, name="prod")
+        meta = state / "tenants" / "t1" / "prod" / "meta.json"
+        meta.write_text(meta.read_text()[:20])
+
+        with caplog.at_level("INFO", logger="repro"):
+            second = SnapshotRegistry(cache=TTLLRUCache(),
+                                      state_dir=str(state))
+        with pytest.raises(ApiError):
+            second.resolve("t1", "prod")
+        assert second.resolve("t2", "prod").snapshot_id == kept.snapshot_id
+        assert self.skipped(caplog) == ["meta.json unreadable"]
+
+    def test_truncated_verdicts_restore_cold(self, tmp_path, texts):
+        state = tmp_path / "serve-state"
+        first = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        snap = first.ingest("t1", texts, name="prod")
+        first.verify(snap, [reach(label="q")])
+        verdicts = state / "tenants" / "t1" / "prod" / "verdicts.json"
+        verdicts.write_text(verdicts.read_text()[:15])
+
+        second = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        restored = second.resolve("t1", "prod")
+        assert restored.snapshot_id == snap.snapshot_id
+        results, stats = second.verify(restored, [reach(label="q")])
+        assert results[0].holds is True
+        assert not results[0].cached
+        assert stats["verdicts_replayed"] == 0

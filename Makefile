@@ -54,12 +54,15 @@ tables:
 tables-full:
 	REPRO_SCALE=full python benchmarks/run_all.py
 
+# The shipped examples end to end (~10 s): single verify, fault
+# tolerance and invariance, equivalence and batch paths.
 examples:
 	python examples/quickstart.py
 	python examples/fault_tolerance.py
 	python examples/config_files_demo.py
 	python examples/datacenter_audit.py 2
 	python examples/hijack_hunt.py 0 130
+	python examples/batch_audit.py 2
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} +

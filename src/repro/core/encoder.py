@@ -93,6 +93,10 @@ class EncoderOptions:
     prune_cold_clauses: bool = False  # drop clauses cold for the dst prefix
     preprocess: bool = True          # SAT-level CNF simplification (§8)
 
+    def __post_init__(self) -> None:
+        if self.max_failures < 0:
+            raise ValueError("max_failures must be >= 0")
+
 
 @dataclass
 class ForwardingEdge:

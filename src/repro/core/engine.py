@@ -29,9 +29,13 @@ This engine exploits two levers:
   to query order regardless of completion order, and any pool failure
   (spawn errors, pickling issues) falls back to the serial path.
 
-Lazy properties (``prop.lazy``, e.g. :class:`LoadBalanced`) enumerate
-stable states with destructive blocking clauses and therefore cannot share
-a solver; they are routed through ``Verifier.verify`` individually.
+:meth:`GroupEncoding.solve_one` is the only code that runs a query
+against a single-network encoding: ``Verifier.verify`` is a batch of one
+(a fresh group, one ``solve_one``).  Lazy properties (``prop.lazy``, e.g.
+:class:`LoadBalanced`) are ordinary group members: ``solve_one`` checks
+each stable state the solver finds concretely and blocks its forwarding
+behind the query's activation literal, so the blocking clauses are as
+inert for later queries as instrumentation is.
 """
 
 from __future__ import annotations
@@ -45,14 +49,14 @@ from repro import obs
 from repro.obs import log as obslog
 from repro.net import ip as iplib
 from repro.net.topology import Network
-from repro.smt import Solver, UNKNOWN, UNSAT, implies, not_
+from repro.smt import SAT, Solver, UNKNOWN, UNSAT, implies, not_, or_
 from .counterexample import extract_counterexample
 from .encoder import EncoderOptions, NetworkEncoder
 from .properties import Property
 from .verifier import (
     VerificationResult,
-    Verifier,
-    _budget_message,
+    _result,
+    _span_stats,
     effective_max_failures,
 )
 
@@ -89,6 +93,9 @@ _GroupKey = Tuple[Optional[Tuple[int, int]], int]
 # cached encoding that has discharged this many queries is treated as
 # a miss and rebuilt fresh instead of reused.
 _GROUP_RECYCLE_QUERIES = 256
+
+# Stable states a lazy query may refine away before giving up UNKNOWN.
+_LAZY_ITERATIONS = 200
 
 
 class GroupEncoding:
@@ -153,49 +160,72 @@ class GroupEncoding:
         reused from a cache — the query then paid no encode cost).
         """
         tracer = tracer if tracer is not None else obs.active()
-        enc, solver = self.enc, self.solver
+        enc, solver, prop = self.enc, self.solver, query.prop
+        lazy = getattr(prop, "lazy", False)
         with self.lock:
             self.queries_discharged += 1
             qspan = tracer.span("batch.query", query=query.name())
             with qspan:
                 with tracer.span("verify.property",
                                  property=query.name()) as sp_query:
-                    prop_term = query.prop.encode(enc)
+                    prop_term = prop.encode(enc)
                     instrumentation = enc.constraints_since(self.base_mark)
                     enc.rollback(self.base_mark)
                     act = enc.fresh_bool("batch.act")
                     solver.add(*[implies(act, c) for c in instrumentation],
                                label="instrumentation")
-                    assumptions = [act, not_(prop_term)]
+                    # A lazy property has no term to negate (it encodes
+                    # to TRUE); it is checked on each model instead.
+                    assumptions = [act] if lazy else [act, not_(prop_term)]
                     for assumption in query.assumptions:
                         assumptions.append(assumption(enc))
-                with tracer.span("verify.solve") as sp_solve:
-                    outcome = solver.check(assumptions=assumptions)
-                if outcome is not UNSAT and outcome is not UNKNOWN:
-                    with tracer.span("verify.model"):
-                        model = solver.model()
-                        counterexample = extract_counterexample(enc, model)
-                        message = query.prop.describe_violation(enc, model)
-            stats = dict(
-                seconds=shared_share + qspan.duration,
-                num_variables=solver.num_variables,
-                num_clauses=solver.num_clauses,
-                encode_seconds=shared_share + sp_query.duration,
-                encode_shared_seconds=shared_share,
-                encode_query_seconds=sp_query.duration,
-                solve_seconds=sp_solve.duration,
-                conflicts=solver.last_check_conflicts)
-            if outcome is UNSAT:
-                return VerificationResult(property_name=query.name(),
-                                          holds=True, **stats)
-            if outcome is UNKNOWN:
-                return VerificationResult(
-                    property_name=query.name(), holds=None,
-                    message=_budget_message(solver), **stats)
-            return VerificationResult(
-                property_name=query.name(), holds=False,
-                counterexample=counterexample, message=message,
-                **stats)
+                if lazy:
+                    outcome, solves, unknown = self._refine(
+                        prop, act, assumptions, tracer)
+                else:
+                    with tracer.span("verify.solve") as sp_solve:
+                        outcome = solver.check(assumptions=assumptions)
+                    solves = [(sp_solve, solver.last_check_conflicts)]
+                    unknown = None
+                result = _result(
+                    query.name(), outcome, solver, tracer,
+                    lambda model: (extract_counterexample(enc, model),
+                                   prop.describe_violation(enc, model)),
+                    unknown_message=unknown)
+            return replace(result, **_span_stats(
+                shared_share + qspan.duration, shared_share, sp_query,
+                solves, solver))
+
+    def _refine(self, prop: Property, act, assumptions, tracer):
+        """The lazy refinement loop: solve, check the stable state's
+        model concretely, and block its forwarding until one violates
+        ``prop`` (SAT, the model still loaded) or none is left (UNSAT).
+
+        Returns ``(outcome, solves, unknown_message)`` with ``solves``
+        the ``(span, conflicts)`` of every iteration's check.
+        """
+        enc, solver = self.enc, self.solver
+        solves = []
+        for iteration in range(_LAZY_ITERATIONS):
+            with tracer.span("verify.solve",
+                             lazy_iteration=iteration) as sp_solve:
+                outcome = solver.check(assumptions=assumptions)
+            solves.append((sp_solve, solver.last_check_conflicts))
+            if outcome is not SAT:
+                return outcome, solves, None
+            model = solver.model()
+            if prop.check_model(enc, model) is not None:
+                return SAT, solves, None
+            block = []
+            for key in enc.fwd:
+                term = enc.data_fwd(*key)
+                block.append(not_(term) if model.eval(term) else term)
+            if not block:
+                # No forwarding edges: the state just checked is the
+                # only forwarding behaviour there is.
+                return UNSAT, solves, None
+            solver.add(implies(act, or_(*block)), label="refinement")
+        return UNKNOWN, solves, "lazy refinement budget exhausted"
 
 
 class BatchEngine:
@@ -248,14 +278,10 @@ class BatchEngine:
             results: List[Optional[VerificationResult]] = \
                 [None] * len(batch)
             groups: Dict[_GroupKey, List[Tuple[int, BatchQuery]]] = {}
-            lazy: List[Tuple[int, BatchQuery]] = []
             cache_keys: Dict[int, str] = {}
             metrics = obs.metrics()
             with tracer.span("batch.plan"):
                 for index, query in enumerate(batch):
-                    if getattr(query.prop, "lazy", False):
-                        lazy.append((index, query))
-                        continue
                     if self.verdict_cache is not None:
                         ckey = self._cache_key(query)
                         if ckey is not None:
@@ -275,7 +301,7 @@ class BatchEngine:
                                                   query.max_failures,
                                                   self.options))
                     groups.setdefault(key, []).append((index, query))
-            root.set(groups=len(groups), lazy=len(lazy))
+            root.set(groups=len(groups))
             metrics.counter("batch.queries").inc(len(batch))
             metrics.counter("batch.groups").inc(len(groups))
 
@@ -289,17 +315,6 @@ class BatchEngine:
                     pairs, _ = self._run_group(key, members)
                     for index, result in pairs:
                         results[index] = result
-
-            if lazy:
-                verifier = Verifier(self.network, options=self.options,
-                                    conflict_budget=self.conflict_budget)
-                for index, query in lazy:
-                    result = verifier.verify(
-                        query.prop, max_failures=query.max_failures,
-                        assumptions=query.assumptions)
-                    if query.label:
-                        result.property_name = query.label
-                    results[index] = result
 
             if self.verdict_cache is not None:
                 for index, ckey in cache_keys.items():

@@ -22,12 +22,9 @@ from repro.net.device import DeviceConfig
 from repro.net.topology import Network
 from repro.smt import (
     FALSE,
-    SAT,
     Solver,
     Term,
     TRUE,
-    UNKNOWN,
-    UNSAT,
     and_,
     bv_var,
     iff,
@@ -56,9 +53,9 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
     """
     from .verifier import (
         VerificationResult,
-        _budget_message,
         _query_tracer,
-        _span_stats,
+        _result,
+        _with_stats,
     )
 
     options = options or EncoderOptions()
@@ -83,25 +80,16 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
                            label="property")
             with tracer.span("verify.solve") as sp_solve:
                 outcome = solver.check()
-            if outcome is SAT:
-                with tracer.span("verify.model"):
-                    dst = solver.model().eval(packet.dst_ip)
+            result = _result(
+                name, outcome, solver, tracer,
+                lambda model: (None, (
+                    f"{router_a} and {router_b} differ, e.g. for "
+                    f"dstIp={iplib.format_ip(model.eval(packet.dst_ip))}")))
     if structural is not None:
         return VerificationResult(property_name=name, holds=False,
                                   message=structural,
                                   seconds=root.duration)
-    stats = _span_stats(root, sp_shared, sp_query,
-                        [(sp_solve, solver.last_check_conflicts)], solver)
-    if outcome is UNSAT:
-        return VerificationResult(property_name=name, holds=True, **stats)
-    if outcome is UNKNOWN:
-        return VerificationResult(property_name=name, holds=None,
-                                  message=_budget_message(solver), **stats)
-    return VerificationResult(
-        property_name=name, holds=False,
-        message=(f"{router_a} and {router_b} differ, e.g. for "
-                 f"dstIp={iplib.format_ip(dst)}"),
-        **stats)
+    return _with_stats(result, root, sp_shared, sp_query, sp_solve, solver)
 
 
 def _differences(network: Network, dev_a: DeviceConfig,

@@ -658,7 +658,7 @@ class LoadBalanced(Property):
     threshold: float = 0.0
     dest_prefix_text: Optional[str] = None
 
-    lazy = True  # handled specially by the Verifier
+    lazy = True  # checked per stable state by GroupEncoding.solve_one
 
     def dst_prefix(self):
         return _parse_dst(self.dest_prefix_text)
@@ -667,6 +667,10 @@ class LoadBalanced(Property):
         # No boolean property term: the verifier enumerates stable states
         # and checks flows concretely.
         return TRUE
+
+    def describe_violation(self, enc: EncodedNetwork, model) -> str:
+        return (self.check_model(enc, model)
+                or super().describe_violation(enc, model))
 
     def check_model(self, enc: EncodedNetwork, model) -> Optional[str]:
         """Exact flow check for one stable state; returns a violation

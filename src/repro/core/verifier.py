@@ -4,24 +4,28 @@
 property into CNF and asks the CDCL core for a satisfying assignment:
 SAT means some stable state violates the property (a counterexample is
 extracted from the model), UNSAT means the property holds in every stable
-state.
+state.  A single query is a batch of one: it builds a fresh
+:class:`~repro.core.engine.GroupEncoding` and runs
+:meth:`~repro.core.engine.GroupEncoding.solve_one`, the same code every
+batch query (lazy load-balancing refinement included) goes through.
 
-Also implements the §5 checks that need more than one encoding: local and
-full equivalence, fault tolerance and fault-invariance testing, and the
-lazy refinement loop for load balancing.
+Also implements the §5 checks that need two encodings (fault-invariance
+and full equivalence) and fronts the local-equivalence check.  Every
+check maps its solver outcome to a :class:`VerificationResult` through
+one helper, :func:`_result`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.net import ip as iplib
 from repro.net.topology import Network
 from repro.smt import (
     FALSE,
-    SAT,
+    Model,
     Solver,
     Term,
     UNKNOWN,
@@ -66,19 +70,20 @@ def _query_tracer():
     return tracer if tracer.enabled else obs.Tracer(lane="verify")
 
 
-def _span_stats(root, sp_shared, sp_query, solves,
+def _span_stats(seconds: float, shared_seconds: float, sp_query, solves,
                 solver: Solver) -> Dict:
     """Result statistics derived from the query's closed spans.
 
-    ``solves`` holds one ``(verify.solve span, conflicts)`` pair per
-    check the query ran (several for the lazy refinement loop).
+    ``shared_seconds`` is the network-encoding cost attributed to the
+    query; ``solves`` holds one ``(verify.solve span, conflicts)`` pair
+    per check the query ran (several for the lazy refinement loop).
     """
     return dict(
-        seconds=root.duration,
+        seconds=seconds,
         num_variables=solver.num_variables,
         num_clauses=solver.num_clauses,
-        encode_seconds=sp_shared.duration + sp_query.duration,
-        encode_shared_seconds=sp_shared.duration,
+        encode_seconds=shared_seconds + sp_query.duration,
+        encode_shared_seconds=shared_seconds,
         encode_query_seconds=sp_query.duration,
         solve_seconds=sum(sp.duration for sp, _ in solves),
         conflicts=sum(conflicts for _, conflicts in solves))
@@ -145,6 +150,39 @@ class VerificationResult:
         if self.cached:
             text += " [cached]"
         return f"<{self.property_name} {text} ({self.seconds * 1e3:.1f} ms)>"
+
+
+def _result(name: str, outcome, solver: Solver, tracer,
+            explain: Callable[[Model], Tuple[Optional[Counterexample], str]],
+            unknown_message: Optional[str] = None) -> VerificationResult:
+    """The verdict of one check, before its cost statistics are known.
+
+    UNSAT means the property holds and UNKNOWN that the search gave up
+    (``unknown_message``, by default the conflict-budget diagnostics).
+    SAT reads ``explain(model) -> (counterexample, message)`` off the
+    solver's model inside a ``verify.model`` span, so the caller must
+    still be inside its root span.
+    """
+    if outcome is UNSAT:
+        return VerificationResult(property_name=name, holds=True)
+    if outcome is UNKNOWN:
+        return VerificationResult(
+            property_name=name, holds=None,
+            message=unknown_message or _budget_message(solver))
+    with tracer.span("verify.model"):
+        counterexample, message = explain(solver.model())
+    return VerificationResult(property_name=name, holds=False,
+                              counterexample=counterexample,
+                              message=message)
+
+
+def _with_stats(result: VerificationResult, root, sp_shared, sp_query,
+                sp_solve, solver: Solver) -> VerificationResult:
+    """``result`` with the cost statistics of a query that ran one
+    check under ``root``."""
+    return replace(result, **_span_stats(
+        root.duration, sp_shared.duration, sp_query,
+        [(sp_solve, solver.last_check_conflicts)], solver))
 
 
 class Verifier:
@@ -220,6 +258,8 @@ class Verifier:
         bound); ``prop.failures_needed`` still raises the bound when the
         property structurally requires more failures than requested.
         """
+        from .engine import BatchQuery, GroupEncoding
+
         tracer = _query_tracer()
         name = type(prop).__name__
         options = self.options
@@ -228,44 +268,15 @@ class Verifier:
             options = replace(options, max_failures=k)
         root = tracer.span("verify", property=name, max_failures=k)
         with root:
-            with tracer.span("verify.encode") as sp_shared:
-                encoder = NetworkEncoder(self.network, options)
-                enc = encoder.encode(dst_prefix=prop.dst_prefix())
-                solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess)
-                solver.add(*enc.constraints, label="network")
-                base_mark = enc.checkpoint()
-            with tracer.span("verify.property", property=name) as sp_query:
-                prop_term = prop.encode(enc)
-                # Property encoding may append instrumentation constraints
-                # (e.g. reach bits) to the encoding; assert just those.
-                solver.add(*enc.constraints_since(base_mark),
-                           label="instrumentation")
-                for assumption in assumptions:
-                    solver.add(assumption(enc), label="assumptions")
-                lazy = getattr(prop, "lazy", False)
-                if not lazy:
-                    solver.add(not_(prop_term), label="property")
-            if lazy:
-                outcome, counterexample, message, solves = \
-                    self._lazy_verify(prop, enc, solver, tracer)
-            else:
-                with tracer.span("verify.solve") as sp_solve:
-                    outcome = solver.check()
-                solves = [(sp_solve, solver.last_check_conflicts)]
-                counterexample, message = None, ""
-                if outcome is SAT:
-                    with tracer.span("verify.model"):
-                        model = solver.model()
-                        counterexample = extract_counterexample(enc, model)
-                        message = prop.describe_violation(enc, model)
-                elif outcome is UNKNOWN:
-                    message = _budget_message(solver)
-        stats = _span_stats(root, sp_shared, sp_query, solves, solver)
-        holds = {UNSAT: True, UNKNOWN: None, SAT: False}[outcome]
-        return VerificationResult(
-            property_name=name, holds=holds,
-            counterexample=counterexample, message=message, **stats)
+            group = GroupEncoding(self.network, options,
+                                  self.conflict_budget, prop.dst_prefix(),
+                                  tracer=tracer)
+            result = group.solve_one(
+                BatchQuery(prop=prop, max_failures=max_failures,
+                           assumptions=tuple(assumptions)),
+                tracer=tracer, shared_share=group.encode_seconds)
+        result.seconds = root.duration
+        return result
 
     # ------------------------------------------------------------------
     # Batch verification (shared-encoding incremental + parallel groups)
@@ -311,43 +322,6 @@ class Verifier:
         return results
 
     # ------------------------------------------------------------------
-    # Lazy load-balancing loop (linear arithmetic outside the SAT core)
-    # ------------------------------------------------------------------
-
-    def _lazy_verify(self, prop, enc: EncodedNetwork, solver: Solver,
-                     tracer, max_iterations: int = 200):
-        """Refine until a stable state violates ``prop`` or none is
-        left.  Returns ``(outcome, counterexample, message, solves)``
-        with ``solves`` the ``(span, conflicts)`` of every iteration's
-        check, for the result's cost statistics."""
-        solves = []
-        for iteration in range(max_iterations):
-            with tracer.span("verify.solve",
-                             lazy_iteration=iteration) as sp_solve:
-                outcome = solver.check()
-            solves.append((sp_solve, solver.last_check_conflicts))
-            if outcome is UNSAT:
-                return UNSAT, None, "", solves
-            if outcome is UNKNOWN:
-                return UNKNOWN, None, _budget_message(solver), solves
-            model = solver.model()
-            violation = prop.check_model(enc, model)
-            if violation is not None:
-                return (SAT, extract_counterexample(enc, model), violation,
-                        solves)
-            # Block this forwarding configuration and search for another
-            # stable state.
-            block = []
-            for key in enc.fwd:
-                term = enc.data_fwd(*key)
-                value = model.eval(term)
-                block.append(not_(term) if value else term)
-            if not block:
-                break
-            solver.add(or_(*block), label="refinement")
-        return UNKNOWN, None, "lazy refinement budget exhausted", solves
-
-    # ------------------------------------------------------------------
     # Fault-invariance (§5): P holds with no failures iff it holds with k
     # ------------------------------------------------------------------
 
@@ -356,23 +330,18 @@ class Verifier:
         """Check that ``prop`` holds in the failure-free network exactly
         when it holds under any ``k`` failures (two encoding copies with a
         shared environment)."""
-        tracer = _query_tracer()
         name = f"FaultInvariance[{type(prop).__name__}, k={k}]"
+        base = replace(self.options, max_failures=0)
+        failing = replace(self.options, max_failures=k)
+        tracer = _query_tracer()
         root = tracer.span("verify.fault_invariance", property=name, k=k)
         with root:
             with tracer.span("verify.encode") as sp_shared:
-                base_encoder = NetworkEncoder(
-                    self.network, replace(self.options, max_failures=0))
-                fail_encoder = NetworkEncoder(
-                    self.network, replace(self.options, max_failures=k))
-                enc0 = base_encoder.encode(dst_prefix=prop.dst_prefix(),
-                                           ns="c0.")
-                enc1 = fail_encoder.encode(dst_prefix=prop.dst_prefix(),
-                                           ns="c1.")
-                solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess)
-                solver.add(*enc0.constraints, label="network")
-                solver.add(*enc1.constraints, label="network")
+                enc0 = NetworkEncoder(self.network, base).encode(
+                    dst_prefix=prop.dst_prefix(), ns="c0.")
+                enc1 = NetworkEncoder(self.network, failing).encode(
+                    dst_prefix=prop.dst_prefix(), ns="c1.")
+                solver = self._load_copies(enc0, enc1)
                 mark0 = enc0.checkpoint()
                 mark1 = enc1.checkpoint()
             with tracer.span("verify.property", property=name) as sp_query:
@@ -382,37 +351,21 @@ class Verifier:
                            label="instrumentation")
                 solver.add(*enc1.constraints_since(mark1),
                            label="instrumentation")
-                # Same packet and same external announcements in both
-                # copies.
-                solver.add(*_equate_packets(enc0, enc1), label="property")
-                solver.add(*_equate_environments(enc0, enc1),
-                           label="property")
                 solver.add(not_(iff(term0, term1)), label="property")
             with tracer.span("verify.solve") as sp_solve:
                 outcome = solver.check()
-            if outcome is SAT:
-                with tracer.span("verify.model"):
-                    model = solver.model()
-                    failed = [key for key, term in enc1.failed.items()
-                              if model.eval(term)]
-                    failed += [key for key, term in enc1.failed_ext.items()
-                               if model.eval(term)]
-                    counterexample = extract_counterexample(enc1, model)
-        stats = _span_stats(root, sp_shared, sp_query,
-                            [(sp_solve, solver.last_check_conflicts)],
-                            solver)
-        if outcome is UNSAT:
-            return VerificationResult(property_name=name, holds=True,
-                                      **stats)
-        if outcome is UNKNOWN:
-            return VerificationResult(property_name=name, holds=None,
-                                      message=_budget_message(solver),
-                                      **stats)
-        return VerificationResult(
-            property_name=name, holds=False,
-            counterexample=counterexample,
-            message=f"behaviour differs when links {failed} fail",
-            **stats)
+
+            def explain(model):
+                failed = [key for key, term in enc1.failed.items()
+                          if model.eval(term)]
+                failed += [key for key, term in enc1.failed_ext.items()
+                           if model.eval(term)]
+                return (extract_counterexample(enc1, model),
+                        f"behaviour differs when links {failed} fail")
+
+            result = _result(name, outcome, solver, tracer, explain)
+        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
+                           solver)
 
     # ------------------------------------------------------------------
     # Pairwise fault-invariant reachability (the §8.1 check)
@@ -427,69 +380,53 @@ class Verifier:
         One query: reach bits are instrumented in both copies and required
         to agree for every source.
         """
-        tracer = _query_tracer()
         name = f"PairwiseFaultInvariance[k={k}]"
+        base = replace(self.options, max_failures=0)
+        # Failures range over internal links: an external session flap
+        # changes the environment, not the network, and both copies
+        # share one environment (matching the paper's zero-violation
+        # finding).
+        failing = replace(self.options, max_failures=k,
+                          fail_external=False)
+        prefix = iplib.parse_prefix(dest_prefix) if dest_prefix else None
+        tracer = _query_tracer()
         root = tracer.span("verify.pairwise_fault_invariance",
                            property=name, k=k)
         with root:
             with tracer.span("verify.encode") as sp_shared:
-                prefix = (iplib.parse_prefix(dest_prefix)
-                          if dest_prefix else None)
-                enc0 = NetworkEncoder(
-                    self.network,
-                    replace(self.options, max_failures=0)).encode(
-                        prefix, ns="c0.")
-                # Failures range over internal links: an external session
-                # flap changes the environment, not the network, and both
-                # copies share one environment (matching the paper's
-                # zero-violation finding).
-                enc1 = NetworkEncoder(
-                    self.network,
-                    replace(self.options, max_failures=k,
-                            fail_external=False)).encode(prefix, ns="c1.")
+                enc0 = NetworkEncoder(self.network, base).encode(
+                    prefix, ns="c0.")
+                enc1 = NetworkEncoder(self.network, failing).encode(
+                    prefix, ns="c1.")
+                solver = self._load_copies(enc0, enc1)
+                mark0 = enc0.checkpoint()
+                mark1 = enc1.checkpoint()
             with tracer.span("verify.property", property=name) as sp_query:
-                # Instrument both copies before loading the solver so the
-                # instrumentation constraints are included.
-                base0 = {r: enc0.local_deliver.get(r, FALSE)
-                         for r in enc0.routers()}
-                base1 = {r: enc1.local_deliver.get(r, FALSE)
-                         for r in enc1.routers()}
-                reach0 = reach_instrumentation(enc0, base0, tag="fi0")
-                reach1 = reach_instrumentation(enc1, base1, tag="fi1")
-                mismatch = or_(*[not_(iff(reach0[r], reach1[r]))
-                                 for r in enc0.routers()])
-                solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess)
-                solver.add(*enc0.constraints, label="network")
-                solver.add(*enc1.constraints, label="network")
-                solver.add(*_equate_packets(enc0, enc1), label="property")
-                solver.add(*_equate_environments(enc0, enc1),
+                reach0 = reach_instrumentation(
+                    enc0, {r: enc0.local_deliver.get(r, FALSE)
+                           for r in enc0.routers()}, tag="fi0")
+                reach1 = reach_instrumentation(
+                    enc1, {r: enc1.local_deliver.get(r, FALSE)
+                           for r in enc1.routers()}, tag="fi1")
+                solver.add(*enc0.constraints_since(mark0),
+                           label="instrumentation")
+                solver.add(*enc1.constraints_since(mark1),
+                           label="instrumentation")
+                solver.add(or_(*[not_(iff(reach0[r], reach1[r]))
+                                 for r in enc0.routers()]),
                            label="property")
-                solver.add(mismatch, label="property")
             with tracer.span("verify.solve") as sp_solve:
                 outcome = solver.check()
-            if outcome is SAT:
-                with tracer.span("verify.model"):
-                    model = solver.model()
-                    diff = [r for r in enc0.routers()
-                            if model.eval(reach0[r]) != model.eval(
-                                reach1[r])]
-                    counterexample = extract_counterexample(enc1, model)
-        stats = _span_stats(root, sp_shared, sp_query,
-                            [(sp_solve, solver.last_check_conflicts)],
-                            solver)
-        if outcome is UNSAT:
-            return VerificationResult(property_name=name, holds=True,
-                                      **stats)
-        if outcome is UNKNOWN:
-            return VerificationResult(property_name=name, holds=None,
-                                      message=_budget_message(solver),
-                                      **stats)
-        return VerificationResult(
-            property_name=name, holds=False,
-            counterexample=counterexample,
-            message=f"reachability of {diff} changes under failure",
-            **stats)
+
+            def explain(model):
+                diff = [r for r in enc0.routers()
+                        if model.eval(reach0[r]) != model.eval(reach1[r])]
+                return (extract_counterexample(enc1, model),
+                        f"reachability of {diff} changes under failure")
+
+            result = _result(name, outcome, solver, tracer, explain)
+        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
+                           solver)
 
     # ------------------------------------------------------------------
     # Local equivalence (§5): isolated routers on symbolic inputs
@@ -530,15 +467,8 @@ class Verifier:
                 enc_a = NetworkEncoder(self.network,
                                        self.options).encode(ns="A.")
                 enc_b = NetworkEncoder(other, self.options).encode(ns="B.")
-                solver = Solver(conflict_budget=self.conflict_budget,
-                                preprocess=self.options.preprocess)
-                solver.add(*enc_a.constraints, label="network")
-                solver.add(*enc_b.constraints, label="network")
+                solver = self._load_copies(enc_a, enc_b)
             with tracer.span("verify.property", property=name) as sp_query:
-                solver.add(*_equate_packets(enc_a, enc_b),
-                           label="property")
-                solver.add(*_equate_environments(enc_a, enc_b),
-                           label="property")
                 differences: List[Term] = []
                 for key in set(enc_a.fwd) | set(enc_b.fwd):
                     differences.append(not_(iff(enc_a.data_fwd(*key),
@@ -553,25 +483,26 @@ class Verifier:
                            label="property")
             with tracer.span("verify.solve") as sp_solve:
                 outcome = solver.check()
-            if outcome is SAT:
-                with tracer.span("verify.model"):
-                    model = solver.model()
-                    counterexample = extract_counterexample(enc_a, model)
-        stats = _span_stats(root, sp_shared, sp_query,
-                            [(sp_solve, solver.last_check_conflicts)],
-                            solver)
-        if outcome is UNSAT:
-            return VerificationResult(property_name=name, holds=True,
-                                      **stats)
-        if outcome is UNKNOWN:
-            return VerificationResult(property_name=name, holds=None,
-                                      message=_budget_message(solver),
-                                      **stats)
-        return VerificationResult(
-            property_name=name, holds=False,
-            counterexample=counterexample,
-            message="networks diverge on some packet/environment",
-            **stats)
+            result = _result(
+                name, outcome, solver, tracer,
+                lambda model: (extract_counterexample(enc_a, model),
+                               "networks diverge on some packet/environment"))
+        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
+                           solver)
+
+    # ------------------------------------------------------------------
+
+    def _load_copies(self, enc_a: EncodedNetwork,
+                     enc_b: EncodedNetwork) -> Solver:
+        """A fresh solver loaded with two encoding copies that see the
+        same packet and the same external announcements."""
+        solver = Solver(conflict_budget=self.conflict_budget,
+                        preprocess=self.options.preprocess)
+        solver.add(*enc_a.constraints, label="network")
+        solver.add(*enc_b.constraints, label="network")
+        solver.add(*_equate_packets(enc_a, enc_b), label="property")
+        solver.add(*_equate_environments(enc_a, enc_b), label="property")
+        return solver
 
 
 def _equate_packets(a: EncodedNetwork, b: EncodedNetwork) -> List[Term]:

@@ -209,6 +209,53 @@ class TestLazyFallback:
         assert_matches_serial(network, queries, results)
 
 
+    def test_lazy_query_does_not_relint(self):
+        from repro import obs
+
+        verifier = Verifier(diamond(multipath=True), preflight=False)
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            [result] = verifier.verify_batch([P.LoadBalanced(
+                source_loads={"S": 1.0}, monitor=[("L", "R")],
+                threshold=0.01, dest_prefix_text="10.9.0.0/24")])
+        assert result.holds is True
+        linted = [s["name"] for s in tracer.spans
+                  if s["name"].startswith("analysis")]
+        assert linted == []
+
+
+class TestEncodingCache:
+    def test_worn_encoding_is_recycled(self, monkeypatch):
+        from repro import obs
+        from repro.core import engine as engine_mod
+        from repro.serve import TTLLRUCache
+
+        monkeypatch.setattr(engine_mod, "_GROUP_RECYCLE_QUERIES", 2)
+        network = ospf_chain(2)
+        cache = TTLLRUCache()
+        engine = BatchEngine(network, encoding_cache=cache)
+        prop = P.Reachability(sources="all", dest_prefix_text="10.9.0.0/24")
+        key = engine.encoding_cache_key(
+            (prop.dst_prefix(), engine.options.max_failures))
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            engine.run([prop])
+            first = cache.get(key)
+            engine.run([prop])
+            assert cache.get(key) is first
+            assert first.queries_discharged == 2
+            [result] = engine.run([prop])
+        rebuilt = cache.get(key)
+        assert rebuilt is not first
+        assert rebuilt.queries_discharged == 1
+        assert result.holds is True
+        assert engine.last_encoding_stats == {"hits": 0, "misses": 1}
+        snap = tracer.metrics.snapshot()
+        assert snap["engine.encoding_recycled"]["value"] == 1
+        assert snap["engine.encoding_cache_hit"]["value"] == 1
+        assert snap["engine.encoding_cache_miss"]["value"] == 2
+
+
 class TestStats:
     def test_per_query_stats_populated(self):
         network = ospf_chain(3)

@@ -343,6 +343,16 @@ class TestLoadBalancing:
         assert (result.encode_seconds + result.solve_seconds
                 <= result.seconds)
 
+    def test_forwarding_free_network_holds(self):
+        # One router, no links: the only stable state forwards nowhere,
+        # so once it is checked there is nothing left to refine away.
+        b = NetworkBuilder()
+        b.device("A").interface("host", "10.9.0.1/24")
+        result = Verifier(b.build()).verify(P.LoadBalanced(
+            source_loads={"A": 1.0}, monitor=[("A", "A")]))
+        assert result.holds is True
+        assert result.message == ""
+
 
 class TestFaultInvariance:
     def test_diamond_is_fault_invariant(self):
@@ -363,6 +373,16 @@ class TestFaultInvariance:
                               dest_prefix_text="10.9.0.0/24")
         result = Verifier(net).verify_fault_invariance(prop, k=1)
         assert result.holds is True
+
+    def test_negative_k_rejected(self):
+        verifier = Verifier(diamond().build())
+        prop = P.Reachability(sources=["S"],
+                              dest_prefix_text="10.9.0.0/24")
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            verifier.verify_fault_invariance(prop, k=-1)
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            verifier.verify_pairwise_fault_invariance(
+                k=-1, dest_prefix="10.9.0.0/24")
 
 
 class TestEquivalence:
@@ -600,3 +620,48 @@ class TestMaxFailuresPrecedence:
                               dest_prefix_text="10.9.0.0/24")
         with pytest.raises(ValueError):
             effective_max_failures(prop, -1, EncoderOptions())
+
+    def test_negative_option_default_rejected(self):
+        with pytest.raises(ValueError, match="max_failures must be >= 0"):
+            EncoderOptions(max_failures=-1)
+
+
+DST = "10.9.0.0/24"
+
+#: One instance of every non-lazy property class in
+#: :mod:`repro.core.properties`, phrased over :func:`diamond`.
+DIAMOND_PROPERTIES = [
+    P.Reachability(sources="all", dest_prefix_text=DST),
+    P.Isolation(sources=["S"], dest_prefix_text=DST),
+    P.Waypointing(source="S", waypoints=["L"], dest_prefix_text=DST),
+    P.BoundedPathLength(sources="all", bound=1, dest_prefix_text=DST),
+    P.EqualPathLengths(routers=["S", "L", "R"], dest_prefix_text=DST),
+    P.DisjointPaths(router_a="L", router_b="R", dest_prefix_text=DST),
+    P.NoForwardingLoops(dest_prefix_text=DST),
+    P.NoBlackHoles(dest_prefix_text=DST),
+    P.MultipathConsistency(dest_prefix_text=DST),
+    P.NeighborPreference(router="S", peers_in_order=[],
+                         dest_prefix_text=DST),
+    P.PathPreference(preferred=["S", "L", "D"], fallback=["S", "R", "D"],
+                     dest_prefix_text=DST),
+    P.NoPrefixLeak(max_length=24),
+]
+
+
+class TestVerifyIsABatchOfOne:
+    def test_every_non_lazy_property_is_covered(self):
+        classes = {cls for cls in vars(P).values()
+                   if isinstance(cls, type) and issubclass(cls, P.Property)
+                   and cls is not P.Property
+                   and not getattr(cls, "lazy", False)}
+        assert classes == {type(prop) for prop in DIAMOND_PROPERTIES}
+
+    @pytest.mark.parametrize("prop", DIAMOND_PROPERTIES,
+                             ids=lambda prop: type(prop).__name__)
+    def test_same_verdict_and_cnf_as_batch(self, prop):
+        verifier = Verifier(diamond().build())
+        single = verifier.verify(prop)
+        [batched] = verifier.verify_batch([prop])
+        assert single.holds == batched.holds
+        assert single.num_variables == batched.num_variables
+        assert single.num_clauses == batched.num_clauses

@@ -22,12 +22,6 @@ Exercises the soundness contract of ``repro diff`` on three workloads:
   cloud network (clean class, index 120): verdicts must match a full
   verification and at least one verdict must replay.
 
-The edited rack gets a reachability query but no loop query: the edit
-de-originates its /24, and proving loop-freedom for a prefix with no
-routes anywhere is the solver's worst case (minutes at 4 pods) — a
-hardness benchmark, not a differential one.  The other racks' loop
-queries still exercise replay under the structural (widened) cone.
-
 Every check above is deterministic and fails the exit code, which is
 the gate.  The warm-cache speedup against a fresh full verification of
 the NEW tree (the steady-state CI scenario) is timing-derived and only
@@ -72,12 +66,8 @@ def write_tree(network, directory, rename=None):
             fh.write(text)
 
 
-def rack_queries(subnets, skip_loops=()):
-    """Per-rack reachability + loop-freedom at the rack /24.
-
-    ``skip_loops`` names racks whose loop query is omitted (see the
-    module docstring: loop-freedom for a de-originated prefix is a
-    solver worst case, not a differential scenario)."""
+def rack_queries(subnets):
+    """Per-rack reachability + loop-freedom at the rack /24."""
     queries = []
     for label, subnet in subnets:
         queries.append(
@@ -86,18 +76,16 @@ def rack_queries(subnets, skip_loops=()):
                 label=f"reach-{label}",
             )
         )
-        if label not in skip_loops:
-            queries.append(
-                BatchQuery(
-                    prop=P.NoForwardingLoops(dest_prefix_text=subnet),
-                    label=f"loops-{label}",
-                )
+        queries.append(
+            BatchQuery(
+                prop=P.NoForwardingLoops(dest_prefix_text=subnet),
+                label=f"loops-{label}",
             )
+        )
     return queries
 
 
-def run_scenario(network, edited_device, old_text, new_text, subnets,
-                 workers, skip_loops=None):
+def run_scenario(network, edited_device, old_text, new_text, subnets, workers):
     """Write trees, run cold + warm diffs, time a fresh NEW verify.
 
     Returns (cold_report, warm_report, warm_seconds, fresh_new_seconds,
@@ -107,14 +95,8 @@ def run_scenario(network, edited_device, old_text, new_text, subnets,
     and re-solved verdicts); the OLD column of a cold diff is itself a
     full verification against an empty cache, so re-solving it again
     would compare a fresh solve with a fresh solve.
-
-    ``skip_loops`` defaults to the edited device (the renumber
-    scenarios de-originate its /24 — see the module docstring); pass
-    an empty set when the edit keeps every prefix originated.
     """
-    if skip_loops is None:
-        skip_loops = {edited_device}
-    queries = rack_queries(subnets, skip_loops=skip_loops)
+    queries = rack_queries(subnets)
     with tempfile.TemporaryDirectory() as tmp:
         old_dir = os.path.join(tmp, "old")
         new_dir = os.path.join(tmp, "new")
@@ -179,7 +161,7 @@ def main(argv=None) -> int:
         tree.network, edited, old_rack, "10.250.0.", subnets, args.workers
     )
 
-    expected = {f"reach-{edited}"}
+    expected = {f"reach-{edited}", f"loops-{edited}"}
     reverify_exact = (
         set(cold.reverified()) == expected and not warm.reverified()
     )
@@ -229,7 +211,6 @@ def main(argv=None) -> int:
         f"permit {iplib.format_prefix(rack_net, rack_len + 1)}",
         [(t, ptree.tor_subnet(t)) for t in ptree.tors],
         args.workers,
-        skip_loops=frozenset(),
     )
     policy_expected = {f"reach-{ptor}", f"loops-{ptor}"}
     policy_reverify_exact = (

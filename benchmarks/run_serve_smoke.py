@@ -20,8 +20,9 @@ whole verification-as-a-service lifecycle over HTTP:
 * **Refresh as differential verification** — renumber one ToR's rack
   and refresh the snapshot in place: the next batch must replay every
   untouched-slice verdict and re-solve exactly the edited rack's
-  query (``refresh_replay_exact``), with verdicts matching a fresh
-  solve of the NEW configs (``refresh_verdict_match``).
+  reachability and loop queries (``refresh_replay_exact``), with
+  verdicts matching a fresh solve of the NEW configs
+  (``refresh_verdict_match``).
 * **Eviction under pressure** — a second daemon with a deliberately
   tiny ``--cache-bytes`` budget serves two snapshots: its cache must
   record evictions/rejections while verdicts stay correct
@@ -177,7 +178,7 @@ def main() -> int:
         f"{name}.cfg": write_config(dev)
         for name, dev in network.devices.items()
     }
-    queries = rack_queries(subnets, skip_loops={edited})
+    queries = rack_queries(subnets)
     specs = [query_spec(q) for q in queries]
 
     log_path = out_path("serve_smoke.log.jsonl")
@@ -273,7 +274,7 @@ def main() -> int:
             )
 
             # Refresh with a renumbered rack: differential verification
-            # over HTTP.  Only the edited rack's query may re-solve.
+            # over HTTP.  Only the edited rack's queries may re-solve.
             # (Same edit as run_diff_smoke: rewrite the rack's octet
             # prefix so exactly one device's canonical form changes.)
             rack_net = dict(subnets)[edited].split("/")[0]
@@ -308,7 +309,7 @@ def main() -> int:
                 if not r["cached"]
             }
             metrics["refresh_replay_exact"] = exact(
-                resolved == {f"reach-{edited}"}
+                resolved == {f"reach-{edited}", f"loops-{edited}"}
             )
             fresh_post = verify_batch(new_network, queries)
             metrics["refresh_verdict_match"] = exact(

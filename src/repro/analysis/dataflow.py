@@ -80,6 +80,7 @@ __all__ = [
     "WIDEN_LIMIT",
     "analyze_dataflow",
     "clause_cold_for_prefix",
+    "clause_sets_lp_or_metric",
     "loop_candidates",
     "match_set",
     "prune_cold_for_prefix",
@@ -520,36 +521,81 @@ def _session_dead(
 
 
 # ---------------------------------------------------------------------------
-# Structural-query support: the loop-candidate pseudo-fragment
+# Loop candidates: the §6.1 pivot set
 # ---------------------------------------------------------------------------
 
 
-def loop_candidates(network: Network) -> Tuple[str, ...]:
-    """Static mirror of ``NoForwardingLoops.default_candidates``.
+def clause_sets_lp_or_metric(clause: RouteMapClause) -> bool:
+    """Does the clause set local-preference or the BGP metric?
 
-    The default pivot set is derived from the presence of static
-    routes, redistribution, and local-preference-setting route maps on
-    each device; deps.py hashes this tuple as a pseudo-fragment so a
-    structural cone no longer needs every route map on every device —
-    only the ones that can flip a device in or out of the candidate
-    set.  Must stay in lockstep with
-    :meth:`repro.core.properties.NoForwardingLoops.default_candidates`
-    (locked by a mirror-consistency test).
+    Either rewrite can break the strict path-length decrease that
+    :func:`loop_candidates` rests on, so such a clause makes its
+    device a loop pivot and is never pruned as cold.
     """
-    risky = []
-    for name in network.router_names():
-        dev = network.device(name)
-        redistributes = (dev.bgp and dev.bgp.redistribute) or (
-            dev.ospf and dev.ospf.redistribute
-        )
-        sets_pref = any(
-            clause.set_local_pref is not None
+    return clause.set_local_pref is not None or clause.set_metric is not None
+
+
+def loop_candidates(network: Network) -> Tuple[str, ...]:
+    """The routers every forwarding loop must pass through (§6.1).
+
+    ``NoForwardingLoops`` pivots exactly these routers; when the tuple
+    is empty the property encodes ``TRUE``.  A router is *risky* when
+    it has any of:
+
+    * a static route;
+    * redistribution into BGP or OSPF;
+    * a route-map clause that sets local-preference or metric;
+    * an iBGP session;
+    * a BGP ``network`` statement while it also runs OSPF.
+
+    Why no loop runs through non-risky routers only.  Along a hop the
+    forwarding prefix length never falls: a router forwards on its
+    longest match, learned from the next hop, which never advertises a
+    longer prefix than it forwards on (aggregation only shortens).  So
+    the length is constant around a loop.  At that length a non-risky
+    router forwards by BGP or OSPF (a connected route delivers), and
+    the selected route's metric strictly decreases along each hop that
+    stays in one protocol:
+
+    * eBGP import adds 1 to the path length, and multipath keeps only
+      routes that tie the minimum;
+    * OSPF adds the link cost, which the parser bounds to 1..65535.
+      OSPF sums are assumed to stay below 2^16: the 16-bit metric has
+      no overflow guard, unlike BGP's ``MAX_BGP_PATH``.
+
+    A loop must then switch from BGP to OSPF at some router that
+    exports BGP but forwards by OSPF at one length.  Such a router
+    holds no learned BGP route there (eBGP's AD 20 would beat OSPF's
+    110), so its BGP route is a local origin.  Redistribution is risky;
+    a ``network`` origin wins at metric 0 and is advertise-only, so it
+    can close a loop only on a router that forwards the prefix by OSPF
+    — hence the last item.  iBGP keeps the path length across a
+    session and resolves next hops through the IGP, so it is risky too.
+
+    deps.py hashes this tuple as the ``dataflow:loop-candidates``
+    pseudo-fragment of every loop query's verdict-cache key, so an edit
+    that flips a device in or out of the set changes the key.
+    """
+    return tuple(
+        name
+        for name in network.router_names()
+        if _loop_risky(network.device(name))
+    )
+
+
+def _loop_risky(dev: DeviceConfig) -> bool:
+    bgp, ospf = dev.bgp, dev.ospf
+    return bool(
+        dev.static_routes
+        or (bgp and (bgp.redistribute or (bgp.networks and ospf)))
+        or (ospf and ospf.redistribute)
+        or (bgp and any(bgp.is_internal(nbr) for nbr in bgp.neighbors))
+        or any(
+            clause_sets_lp_or_metric(clause)
             for rmap in dev.route_maps.values()
             for clause in rmap.clauses
         )
-        if dev.static_routes or redistributes or sets_pref:
-            risky.append(name)
-    return tuple(risky or network.router_names())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -566,11 +612,11 @@ def clause_cold_for_prefix(
     and validity-gates every record: a clause whose match set cannot
     overlap ``dst`` never triggers on a route that reaches the
     verdict (in hoisted mode its guard is concretely false).  Clauses
-    setting local-preference are never considered cold — pruning them
-    would perturb ``NoForwardingLoops.default_candidates``, which scans
-    the *pruned* network for local-pref-setting maps.
+    setting local-preference or metric are never considered cold —
+    pruning them would perturb :func:`loop_candidates`, which
+    ``NoForwardingLoops`` applies to the *pruned* network.
     """
-    if clause.set_local_pref is not None:
+    if clause_sets_lp_or_metric(clause):
         return False
     if clause.match_prefix_list is None:
         return False

@@ -77,19 +77,19 @@ fragment                    in the slice when
 
 Properties that quantify over *network structure* rather than routes
 need extra care: :class:`~repro.core.properties.NoForwardingLoops`
-derives its default pivot candidates from the presence of static
-routes, redistribution, and local-preference-setting route maps on any
-device.  With default candidates the slice keeps all static routes and
-adds a ``dataflow:loop-candidates`` pseudo-fragment (the derived
-candidate tuple, mirrored by
-:func:`repro.analysis.dataflow.loop_candidates`) to the hash — any
-edit that flips a device in or out of the pivot set changes the key
-even when the edited fragment itself is outside the cone.  Route maps
-no longer widen to the whole network: the dataflow hotness projection
-above applies to structural queries too.  When the dataflow fixpoint
-had to widen (``Dataflow.widened``), the analysis falls back to the
-pre-projection behavior: every bound map — and for structural queries
-every map on every device — joins the slice whole.
+pivots exactly the devices :func:`repro.analysis.dataflow.loop_candidates`
+calls risky — static routes, redistribution, route-map clauses setting
+local-preference or metric, iBGP sessions, and BGP ``network``
+statements beside OSPF — and none when no device is.  With default
+candidates the slice keeps all static routes and adds a
+``dataflow:loop-candidates`` pseudo-fragment (that candidate tuple) to
+the hash — any edit that flips a device in or out of the pivot set
+changes the key even when the edited fragment itself is outside the
+cone.  Route maps no longer widen to the whole network: the dataflow
+hotness projection above applies to structural queries too.  When the
+dataflow fixpoint had to widen (``Dataflow.widened``), the analysis
+falls back to the pre-projection behavior: every bound map — and for
+structural queries every map on every device — joins the slice whole.
 """
 
 from __future__ import annotations
@@ -311,8 +311,8 @@ def query_cone(
 
     facts = network_facts(network)
     model_ibgp = facts.has_ibgp and getattr(options, "model_ibgp", True)
-    # NoForwardingLoops with default candidates derives its pivot set
-    # from statics / redistribution / local-pref-setting maps anywhere.
+    # NoForwardingLoops with default candidates pivots the risky devices
+    # of loop_candidates, whose inputs may lie outside the cone.
     structural = (
         type(prop).__name__ == "NoForwardingLoops"
         and getattr(prop, "candidates", None) is None

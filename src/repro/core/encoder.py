@@ -224,7 +224,6 @@ class NetworkEncoder:
         med_used = False
         same_as_used = False
         rr_used = False
-        lp_setting_routers: Set[str] = set()
         for dev in devices:
             for rmap in dev.route_maps.values():
                 for clause in rmap.clauses:
@@ -232,7 +231,6 @@ class NetworkEncoder:
                     communities.update(clause.delete_communities)
                     if clause.set_local_pref is not None:
                         lp_used = True
-                        lp_setting_routers.add(dev.hostname)
                     if clause.set_med is not None:
                         med_used = True
             for clist in dev.community_lists.values():
@@ -254,9 +252,6 @@ class NetworkEncoder:
             originator=rr_used,
             explicit_prefix=not self.options.hoist_prefixes,
         )
-        # §6.1 loop detection: control bits only for routers whose policies
-        # set local preferences (default-lp routers cannot select loops).
-        self.loop_risk_routers = tuple(sorted(lp_setting_routers))
         self.router_index = {name: i + 1 for i, name in
                              enumerate(self.network.router_names())}
         self.peer_index = {p.name: len(self.router_index) + i + 1
@@ -292,9 +287,9 @@ class NetworkEncoder:
             # pinned destination: with the §6.1 hoisted tests their
             # guards are concretely false, and record-validity gating
             # keeps non-hoisted encodings verdict-identical.  Clauses
-            # setting local-preference are kept so that
-            # NoForwardingLoops.default_candidates (which scans
-            # ``enc.network``) sees the same pivot set either way.
+            # setting local-preference or metric are kept so that
+            # NoForwardingLoops.default_candidates (loop_candidates
+            # over ``enc.network``) sees the same pivot set either way.
             from repro.analysis.dataflow import prune_cold_for_prefix
 
             with obs.span("encode.prune_cold"):

@@ -389,11 +389,15 @@ class NoForwardingLoops(Property):
     """No data-plane forwarding loop exists (exact; §5).
 
     ``candidates`` limits the per-router instrumentation to routers where
-    loops are possible.  The default applies the paper's §5 optimization:
-    loops require static routes or route redistribution somewhere in the
-    network, and only routers carrying one of those features (or policies
-    overriding path preferences) need a pivot bit — when no router
-    qualifies, every router is instrumented as a safe fallback.
+    loops are possible.  The default applies the paper's §6.1
+    optimization: pivot exactly the *risky* routers, those with a static
+    route, redistribution, a route-map clause setting local-preference
+    or metric, an iBGP session, or a BGP ``network`` statement alongside
+    OSPF.  Every forwarding loop passes through a risky router: between
+    them the selected route's metric strictly decreases hop by hop (the
+    full argument and its assumptions are on
+    :func:`repro.analysis.dataflow.loop_candidates`).  With no risky
+    router there are no pivots and the property encodes ``TRUE``.
     """
 
     candidates: Optional[Sequence[str]] = None
@@ -404,18 +408,9 @@ class NoForwardingLoops(Property):
 
     @staticmethod
     def default_candidates(enc: EncodedNetwork) -> List[str]:
-        risky = []
-        for name in enc.routers():
-            dev = enc.network.device(name)
-            redistributes = (dev.bgp and dev.bgp.redistribute) or \
-                (dev.ospf and dev.ospf.redistribute)
-            sets_pref = any(
-                clause.set_local_pref is not None
-                for rmap in dev.route_maps.values()
-                for clause in rmap.clauses)
-            if dev.static_routes or redistributes or sets_pref:
-                risky.append(name)
-        return risky or enc.routers()
+        from repro.analysis.dataflow import loop_candidates
+
+        return list(loop_candidates(enc.network))
 
     def encode(self, enc: EncodedNetwork) -> Term:
         routers = list(self.candidates) if self.candidates is not None \

@@ -149,7 +149,11 @@ class _Parser:
             iface.prefix_length = iplib.mask_to_length(
                 iplib.parse_ip(tokens[3]))
         elif tokens[:3] == ["ip", "ospf", "cost"]:
-            iface.ospf_cost = int(tokens[3])
+            cost = int(tokens[3])
+            if not 1 <= cost <= 65535:
+                raise ConfigSyntaxError(self.lineno, line,
+                                        "OSPF cost must be in 1..65535")
+            iface.ospf_cost = cost
         elif tokens[:2] == ["ip", "access-group"]:
             if tokens[3] == "in":
                 iface.acl_in = tokens[2]

@@ -237,25 +237,48 @@ router bgp 65002
     assert df.hot_clause_seqs("b", "NOSUCH", rack) == frozenset()
 
 
+def with_text(base, **extra):
+    """``base`` with each keyword's text appended to ``<key>.cfg``."""
+    texts = dict(base)
+    for name, text in extra.items():
+        texts[f"{name}.cfg"] += text
+    return texts
+
+
 def test_loop_candidates_mirror_default_candidates():
     # The pseudo-fragment hashed into structural cones must equal the
-    # property's pivot set, for networks with and without risky devices.
-    texts = dict(CHAIN)
-    texts["b.cfg"] = texts["b.cfg"] + """\
+    # property's pivot set, which holds exactly the risky devices.
+    sets_pref = """\
 route-map PREF permit 10
  set local-preference 200
 router bgp 65002
  neighbor 10.0.0.1 route-map PREF in
 """
+    sets_metric = sets_pref.replace("set local-preference 200",
+                                    "set metric 3")
+    ibgp = dict(CHAIN)
+    ibgp["b.cfg"] = ibgp["b.cfg"].replace(
+        "neighbor 10.0.1.2 remote-as 65003",
+        "neighbor 10.0.1.2 remote-as 65002")
+    ibgp["c.cfg"] = ibgp["c.cfg"].replace("router bgp 65003",
+                                          "router bgp 65002")
+    ospf = "router ospf 1\n network 10.0.0.0 0.255.255.255 area 0\n"
+    cases = [
+        (CHAIN, ()),
+        (with_text(CHAIN, b=sets_pref), ("b",)),
+        (with_text(CHAIN, b=sets_metric), ("b",)),
+        (ibgp, ("b", "c")),
+        # a's network statement only counts alongside OSPF.
+        (with_text(CHAIN, a=ospf), ("a",)),
+        (with_text(CHAIN, b=ospf, c=ospf), ()),
+    ]
     from repro.core.encoder import NetworkEncoder
 
-    for case in (CHAIN, texts):
+    for case, risky in cases:
         net = network_from_texts(case)
         enc = NetworkEncoder(net, EncoderOptions()).encode()
-        expected = tuple(
-            P.NoForwardingLoops.default_candidates(enc)
-        )
-        assert loop_candidates(net) == expected
+        assert loop_candidates(net) == risky
+        assert tuple(P.NoForwardingLoops.default_candidates(enc)) == risky
 
 
 # ----------------------------------------------------------------------
@@ -290,23 +313,37 @@ def test_prune_drops_only_cold_clauses():
     assert len(net.devices["b"].route_maps["IMPORT"].clauses) == 2
 
 
-def test_prune_never_drops_local_pref_clauses():
-    texts = dict(CHAIN)
-    texts["b.cfg"] = texts["b.cfg"] + """\
+def cold_setter_network(setter):
+    """CHAIN with a cold route-map clause on b that applies ``setter``."""
+    return network_from_texts(with_text(CHAIN, b=f"""\
 ip prefix-list COLD seq 10 permit 172.16.0.0/16 le 24
 route-map IMPORT permit 10
  match ip address prefix-list COLD
- set local-preference 200
+ {setter}
 router bgp 65002
  neighbor 10.0.0.1 route-map IMPORT in
-"""
-    net = network_from_texts(texts)
+"""))
+
+
+def test_prune_never_drops_local_pref_clauses():
+    net = cold_setter_network("set local-preference 200")
     pruned, dropped = prune_cold_for_prefix(net, pfx("10.9.0.0/24"))
     assert dropped == 0
     # NoForwardingLoops.default_candidates scans the pruned network for
     # local-pref-setting maps; dropping the clause would flip b out of
     # the candidate set.
-    assert loop_candidates(pruned) == loop_candidates(net)
+    assert loop_candidates(pruned) == loop_candidates(net) == ("b",)
+
+
+def test_prune_never_drops_metric_clauses():
+    # A metric-setting clause makes b a pivot just as local-pref does.
+    net = cold_setter_network("set metric 7")
+    dev = net.devices["b"]
+    clause = dev.route_maps["IMPORT"].clauses[0]
+    assert not clause_cold_for_prefix(dev, clause, pfx("10.9.0.0/24"))
+    pruned, dropped = prune_cold_for_prefix(net, pfx("10.9.0.0/24"))
+    assert dropped == 0
+    assert loop_candidates(pruned) == loop_candidates(net) == ("b",)
 
 
 def verdicts(net, options):

@@ -338,6 +338,17 @@ def test_structural_cone_tracks_loop_candidates_via_extras():
     assert any(key == "dataflow:loop-candidates" for key, _ in cone.extras)
 
 
+def test_set_metric_flips_loop_candidates_and_cache_key():
+    # Neither device of the fixture is risky, so the loop query has no
+    # pivots.  An unbound `set metric` map on r2 makes r2 a pivot: the
+    # loop query's key must change, the reachability query's must not.
+    loops = P.NoForwardingLoops(dest_prefix_text=DST)
+    extra = "route-map UNBOUND permit 10\n set metric 5\n"
+    edited = build(r2_text=R2 + extra)
+    assert key_of(build(), loops) != key_of(edited, loops)
+    assert key_of(build()) == key_of(edited)
+
+
 @settings(max_examples=25, deadline=None)
 @given(octet=st.integers(min_value=16, max_value=31))
 def test_prop_out_of_cone_edit_never_changes_tightened_key(octet):

@@ -188,6 +188,17 @@ class TestLoopsAndBlackHoles:
         assert result.holds is False
         assert "loop" in result.message
 
+    def test_fattree_loop_query_holds_at_the_root(self):
+        # A pure-eBGP fat-tree has no risky router, so the loop query
+        # carries no pivots and is UNSAT without a single conflict.
+        from repro.gen import build_fattree
+
+        tree = build_fattree(4)
+        result = Verifier(tree.network).verify(P.NoForwardingLoops(
+            dest_prefix_text=tree.tor_subnet(tree.tors[0])))
+        assert result.holds is True
+        assert result.conflicts == 0
+
     def test_blackhole_free_chain(self):
         b, names = ospf_chain(3)
         assert Verifier(b.build()).verify(P.NoBlackHoles(

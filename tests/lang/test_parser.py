@@ -205,6 +205,21 @@ class TestErrors:
         with pytest.raises(ConfigSyntaxError):
             parse_config("route-map M allow 10\n")
 
+    @pytest.mark.parametrize("cost", ["0", "-1", "65536"])
+    def test_ospf_cost_out_of_range(self, cost):
+        # Cost 0 lets two neighbors each pick the other as an equal-cost
+        # next hop; a negative cost wraps in the 16-bit metric.
+        text = f"interface e0\n ip address 10.0.0.1 255.255.255.0\n" \
+            f" ip ospf cost {cost}\n"
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(text)
+        assert err.value.lineno == 3
+
+    def test_ospf_cost_range_bounds_accepted(self):
+        for cost in (1, 65535):
+            config = parse_config(f"interface e0\n ip ospf cost {cost}\n")
+            assert config.interfaces["e0"].ospf_cost == cost
+
 
 class TestSmallStanzas:
     def test_bgp_network_short_form_defaults_to_24(self):

@@ -26,11 +26,10 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
-# Gate for CI and pre-merge: the full test suite plus fast (< 30 s)
-# smokes — the batch engine cross-checked against the naive per-query
-# loop, the analyzer over the shipped example configs, and the tracing
-# layer's invariants (valid Chrome trace, span/stat agreement, no-op
-# overhead).  Needs no installed package, only PYTHONPATH.
+# Gate for CI and pre-merge: lint, the analyzer over the shipped example
+# configs, the full test suite and seven fast smokes (batch, analysis,
+# obs, preprocess, satcore, diff, serve), each gating through its exit
+# code.  Needs no installed package, only PYTHONPATH.
 check: lint analyze
 	PYTHONPATH=src python -m pytest -x -q
 	PYTHONPATH=src:. python benchmarks/run_batch_smoke.py

@@ -4,8 +4,7 @@ The package plays the role of Batfish's preprocessing sanity checks in
 the original Minesweeper pipeline: per-device and cross-device defects
 (dangling references, asymmetric sessions, shadowed policy rules) are
 reported with ``file:line`` spans *before* the expensive whole-network
-SMT verification runs, and proven-dead route-map clauses can be pruned
-from the encoding (see :mod:`repro.analysis.pruning`).
+SMT verification runs.
 
 Import layering: :mod:`repro.net.policy` and :mod:`repro.core` report
 runtime hazards through :mod:`repro.analysis.hazards` (stdlib-only), so
@@ -50,8 +49,6 @@ __all__ = [
     "format_text",
     "to_json",
     "to_sarif",
-    "prune_network",
-    "PruneReport",
 ]
 
 _LAZY = {
@@ -62,8 +59,6 @@ _LAZY = {
     "format_text": "reporters",
     "to_json": "reporters",
     "to_sarif": "reporters",
-    "prune_network": "pruning",
-    "PruneReport": "pruning",
 }
 
 

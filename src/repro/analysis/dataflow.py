@@ -8,16 +8,13 @@ BGP session graph plus OSPF adjacencies — and computes, per device, an
 possibly originate, learn, and advertise, and which route-map clauses
 are *hot* (can ever process a route relevant to a destination prefix).
 
-The summaries feed three consumers:
+The summaries feed two consumers:
 
 * :mod:`repro.analysis.deps` replaces its all-route-maps structural
   widening with the dataflow-reachable policy set per (query,
   dst-prefix), shrinking differential-verification cones.
 * The cross-device lint rules XDF001–XDF004 below: filtering mistakes
   no per-device pass can see.
-* :func:`prune_cold_for_prefix`: verdict-preserving removal of clauses
-  proven cold for a query's destination prefix
-  (``EncoderOptions.prune_cold_clauses``).
 
 Abstract domain
 ---------------
@@ -60,7 +57,7 @@ partial (unsound) result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro import obs
@@ -79,11 +76,9 @@ __all__ = [
     "PrefixSet",
     "WIDEN_LIMIT",
     "analyze_dataflow",
-    "clause_cold_for_prefix",
     "clause_sets_lp_or_metric",
     "loop_candidates",
     "match_set",
-    "prune_cold_for_prefix",
     "transfer",
 ]
 
@@ -530,7 +525,7 @@ def clause_sets_lp_or_metric(clause: RouteMapClause) -> bool:
 
     Either rewrite can break the strict path-length decrease that
     :func:`loop_candidates` rests on, so such a clause makes its
-    device a loop pivot and is never pruned as cold.
+    device a loop pivot.
     """
     return clause.set_local_pref is not None or clause.set_metric is not None
 
@@ -559,9 +554,10 @@ def loop_candidates(network: Network) -> Tuple[str, ...]:
 
     * eBGP import adds 1 to the path length, and multipath keeps only
       routes that tie the minimum;
-    * OSPF adds the link cost, which the parser bounds to 1..65535.
-      OSPF sums are assumed to stay below 2^16: the 16-bit metric has
-      no overflow guard, unlike BGP's ``MAX_BGP_PATH``.
+    * OSPF adds the link cost, which the parser bounds to 1..65535,
+      and a path costing more than 65535 is dropped rather than
+      wrapped (the encoder guards OSPF imports wherever the costs
+      could sum that high, as ``MAX_BGP_PATH`` does for BGP).
 
     A loop must then switch from BGP to OSPF at some router that
     exports BGP but forwards by OSPF at one length.  Such a router
@@ -596,73 +592,6 @@ def _loop_risky(dev: DeviceConfig) -> bool:
             for clause in rmap.clauses
         )
     )
-
-
-# ---------------------------------------------------------------------------
-# Cold-clause pruning (EncoderOptions.prune_cold_clauses)
-# ---------------------------------------------------------------------------
-
-
-def clause_cold_for_prefix(
-    dev: DeviceConfig, clause: RouteMapClause, dst: Tuple[int, int]
-) -> bool:
-    """Is a clause provably irrelevant to routes overlapping ``dst``?
-
-    Sound because the encoder pins the symbolic destination to ``dst``
-    and validity-gates every record: a clause whose match set cannot
-    overlap ``dst`` never triggers on a route that reaches the
-    verdict (in hoisted mode its guard is concretely false).  Clauses
-    setting local-preference or metric are never considered cold —
-    pruning them would perturb :func:`loop_candidates`, which
-    ``NoForwardingLoops`` applies to the *pruned* network.
-    """
-    if clause_sets_lp_or_metric(clause):
-        return False
-    if clause.match_prefix_list is None:
-        return False
-    plist = dev.prefix_lists.get(clause.match_prefix_list)
-    if plist is None:
-        return True  # dangling match never matches anything
-    return not match_set(dev, clause).overlaps(*dst)
-
-
-def prune_cold_for_prefix(
-    network: Network, dst: Tuple[int, int]
-) -> Tuple[Network, int]:
-    """A copy of ``network`` without clauses cold for ``dst``.
-
-    Returns ``(network, 0)`` unchanged when nothing is cold.  Dropping
-    a cold clause is verdict-preserving for queries pinned to ``dst``:
-    no valid record the verdict can observe ever matches it, so
-    first-match falls through exactly as before.
-    """
-    devices: List[DeviceConfig] = []
-    pruned = 0
-    any_change = False
-    for name in network.router_names():
-        dev = network.device(name)
-        new_maps = {}
-        changed = False
-        for map_name, rmap in dev.route_maps.items():
-            kept = tuple(
-                c
-                for c in rmap.clauses
-                if not clause_cold_for_prefix(dev, c, dst)
-            )
-            if len(kept) != len(rmap.clauses):
-                pruned += len(rmap.clauses) - len(kept)
-                changed = True
-                new_maps[map_name] = replace(rmap, clauses=kept)
-            else:
-                new_maps[map_name] = rmap
-        if changed:
-            devices.append(replace(dev, route_maps=new_maps))
-            any_change = True
-        else:
-            devices.append(dev)
-    if not any_change:
-        return network, 0
-    return Network(devices), pruned
 
 
 # ---------------------------------------------------------------------------

@@ -557,8 +557,6 @@ _SEMANTIC_OPTION_FIELDS = (
     "model_ibgp",
     "exact_failures",
     "fail_external",
-    "prune_dead_clauses",
-    "prune_cold_clauses",
 )
 
 

@@ -32,7 +32,12 @@ from typing import Dict, List, Optional, Set, Tuple
 from repro import obs
 from repro.net import ip as iplib
 from repro.net.device import BgpNeighbor, DeviceConfig
-from repro.net.route import DEFAULT_AD, DEFAULT_LOCAL_PREF, IBGP_AD
+from repro.net.route import (
+    DEFAULT_AD,
+    DEFAULT_LOCAL_PREF,
+    IBGP_AD,
+    MAX_OSPF_METRIC,
+)
 from repro.net.topology import Edge, Network
 from repro.smt import (
     FALSE,
@@ -89,8 +94,6 @@ class EncoderOptions:
     max_failures: int = 0            # k in the §5 fault-tolerance bound
     exact_failures: bool = False     # require exactly k instead of <= k
     fail_external: bool = True       # external peering links can also fail
-    prune_dead_clauses: bool = False  # drop SMT-proven-dead map clauses
-    prune_cold_clauses: bool = False  # drop clauses cold for the dst prefix
     preprocess: bool = True          # SAT-level CNF simplification (§8)
 
     def __post_init__(self) -> None:
@@ -203,12 +206,6 @@ class NetworkEncoder:
                  options: Optional[EncoderOptions] = None) -> None:
         self.network = network
         self.options = options or EncoderOptions()
-        self.prune_report = None
-        if self.options.prune_dead_clauses:
-            from repro.analysis.pruning import prune_network
-
-            with obs.span("encode.prune"):
-                self.network, self.prune_report = prune_network(network)
         self.widths = Widths()
         with obs.span("encode.analyze"):
             self._analyze()
@@ -252,6 +249,20 @@ class NetworkEncoder:
             originator=rr_used,
             explicit_prefix=not self.options.hoist_prefixes,
         )
+        # The 16-bit OSPF metric can wrap only when an origin metric
+        # plus every OSPF interface cost reaches 2^16; below that no
+        # path or cycle sum wraps, so OSPF imports need no guard.
+        ospf_devs = [dev for dev in devices if dev.ospf is not None]
+        ospf_bound = max(
+            (metric or 20 for dev in ospf_devs
+             for metric in dev.ospf.redistribute.values()),
+            default=0,
+        ) + sum(
+            iface.ospf_cost for dev in ospf_devs
+            for iface in dev.interfaces.values()
+            if iface.address and dev.ospf.covers(iface.address)
+        )
+        self._guard_ospf_metric = ospf_bound > MAX_OSPF_METRIC
         self.router_index = {name: i + 1 for i, name in
                              enumerate(self.network.router_names())}
         self.peer_index = {p.name: len(self.router_index) + i + 1
@@ -281,31 +292,6 @@ class NetworkEncoder:
                 prefix (enables the connected-route slice).
             ns: namespace for variable names (isolates parallel encodings).
         """
-        outer_network = self.network
-        if self.options.prune_cold_clauses and dst_prefix is not None:
-            # Drop route-map clauses whose match set cannot overlap the
-            # pinned destination: with the §6.1 hoisted tests their
-            # guards are concretely false, and record-validity gating
-            # keeps non-hoisted encodings verdict-identical.  Clauses
-            # setting local-preference or metric are kept so that
-            # NoForwardingLoops.default_candidates (loop_candidates
-            # over ``enc.network``) sees the same pivot set either way.
-            from repro.analysis.dataflow import prune_cold_for_prefix
-
-            with obs.span("encode.prune_cold"):
-                pruned_net, dropped = prune_cold_for_prefix(
-                    self.network, dst_prefix)
-            if dropped:
-                obs.metrics().counter(
-                    "encode.cold_clauses_pruned").inc(dropped)
-                self.network = pruned_net
-        try:
-            return self._encode(dst_prefix, ns)
-        finally:
-            self.network = outer_network
-
-    def _encode(self, dst_prefix: Optional[Tuple[int, int]],
-                ns: str) -> EncodedNetwork:
         with obs.span("encode.network", ns=ns,
                       routers=len(self.network.devices)) as sp:
             factory = RecordFactory(self.widths, self.fields,
@@ -451,12 +437,7 @@ class NetworkEncoder:
         """§4: a copy of the IGP network with dstIp pinned to the session
         address; returns the start router's reachability in the copy."""
         stripped = _igp_only_network(self.network)
-        # self.network is already pruned (and the copy has no BGP, hence
-        # no route-map applications): don't re-run the prover per copy.
-        from dataclasses import replace as _replace
-        sub_options = _replace(self.options, prune_dead_clauses=False,
-                               prune_cold_clauses=False)
-        sub = NetworkEncoder(stripped, sub_options)
+        sub = NetworkEncoder(stripped, self.options)
         ns = f"{self._ns}copy[{start},{iplib.format_ip(dst_ip_value)}]."
         copy = sub.encode(dst_prefix=(dst_ip_value, 32), ns=ns)
         # Share failure variables with the outer encoding.
@@ -637,10 +618,17 @@ class NetworkEncoder:
                 peer_best = factory.fresh(
                     f"{self._ns}{edge.target}.ospf.exp")
                 enc.best_export[(edge.target, "ospf")] = peer_best
-            link_up = not_(enc.link_failed(name, edge.target))
+            valid = and_(peer_best.valid,
+                         not_(enc.link_failed(name, edge.target)))
+            if self._guard_ospf_metric:
+                # A path costing more than the metric can hold is
+                # dropped, as the simulator does, rather than wrapped.
+                headroom = MAX_OSPF_METRIC - local_iface.ospf_cost
+                valid = and_(valid, ule(peer_best.metric,
+                                        factory.metric_const(headroom)))
             record = peer_best.with_(
                 name=f"{name}.ospf.in[{edge.target}]",
-                valid=and_(peer_best.valid, link_up),
+                valid=valid,
                 ad=bv_val(DEFAULT_AD["ospf"], self.widths.ad),
                 metric=factory.metric_plus(peer_best.metric,
                                            local_iface.ospf_cost),

@@ -181,11 +181,8 @@ class _Parser:
         elif tokens[0] == "maximum-paths":
             ospf.multipath = int(tokens[1]) > 1
         elif tokens[0] == "redistribute":
-            proto = tokens[1]
-            metric = 0
-            if "metric" in tokens:
-                metric = int(tokens[tokens.index("metric") + 1])
-            ospf.redistribute[proto] = metric
+            ospf.redistribute[tokens[1]] = self._redistribute_metric(
+                tokens, line)
         elif tokens[0] == "network":
             network = iplib.parse_ip(tokens[1])
             length = iplib.wildcard_to_length(iplib.parse_ip(tokens[2]))
@@ -195,6 +192,17 @@ class _Parser:
         else:
             raise ConfigSyntaxError(self.lineno, line,
                                     "unknown ospf sub-command")
+
+    def _redistribute_metric(self, tokens: List[str], line: str) -> int:
+        """The ``metric N`` of a redistribute line (0 when absent)."""
+        if "metric" not in tokens:
+            return 0
+        metric = int(tokens[tokens.index("metric") + 1])
+        # The encoder's metric field is 16 bits wide.
+        if not 0 <= metric <= 65535:
+            raise ConfigSyntaxError(self.lineno, line,
+                                    "redistribute metric must be in 0..65535")
+        return metric
 
     def _bgp_sub(self, tokens: List[str], line: str) -> None:
         bgp = self.config.bgp
@@ -219,11 +227,8 @@ class _Parser:
             length = iplib.mask_to_length(iplib.parse_ip(tokens[2]))
             bgp.aggregates.append((network, length))
         elif tokens[0] == "redistribute":
-            proto = tokens[1]
-            metric = 0
-            if "metric" in tokens:
-                metric = int(tokens[tokens.index("metric") + 1])
-            bgp.redistribute[proto] = metric
+            bgp.redistribute[tokens[1]] = self._redistribute_metric(
+                tokens, line)
         elif tokens[0] == "neighbor":
             self._bgp_neighbor_sub(bgp, tokens, line)
         else:

@@ -14,7 +14,8 @@ from typing import FrozenSet, Optional, Tuple
 from . import ip as iplib
 
 __all__ = ["Route", "PROTO_CONNECTED", "PROTO_STATIC", "PROTO_OSPF",
-           "PROTO_BGP", "DEFAULT_AD", "DEFAULT_LOCAL_PREF"]
+           "PROTO_BGP", "DEFAULT_AD", "DEFAULT_LOCAL_PREF",
+           "MAX_OSPF_METRIC"]
 
 PROTO_CONNECTED = "connected"
 PROTO_STATIC = "static"
@@ -30,6 +31,8 @@ DEFAULT_AD = {
 }
 IBGP_AD = 200
 DEFAULT_LOCAL_PREF = 100
+# The OSPF metric is 16 bits wide: a path costing more is unusable.
+MAX_OSPF_METRIC = 65535
 
 
 @dataclass(frozen=True)

@@ -25,6 +25,7 @@ from repro.net.route import (
     DEFAULT_AD,
     DEFAULT_LOCAL_PREF,
     IBGP_AD,
+    MAX_OSPF_METRIC,
     PROTO_BGP,
     PROTO_CONNECTED,
     PROTO_OSPF,
@@ -252,10 +253,13 @@ class ControlPlaneSimulator:
             peer_table = prev_ribs.get(edge.target, {}).get(PROTO_OSPF, {})
             for routes in peer_table.values():
                 for route in routes:
+                    metric = route.metric + local_iface.ospf_cost
+                    if metric > MAX_OSPF_METRIC:
+                        continue
                     offer(Route(
                         network=route.network, length=route.length,
                         protocol=PROTO_OSPF, ad=DEFAULT_AD[PROTO_OSPF],
-                        metric=route.metric + local_iface.ospf_cost,
+                        metric=metric,
                         router_id=peer_dev.router_id,
                         next_hop=edge.target,
                         next_hop_ip=remote_iface.address,

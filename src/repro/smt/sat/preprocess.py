@@ -45,10 +45,14 @@ Correctness contract with the incremental solver:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import List, Optional
 
-__all__ = ["PreprocessConfig", "Preprocessor", "root_simplify"]
+__all__ = [
+    "INPROCESS_MIN_UNITS",
+    "MIN_CLAUSES",
+    "Preprocessor",
+    "root_simplify",
+]
 
 _UNDEF = -1
 
@@ -57,40 +61,34 @@ class _Unsat(Exception):
     """Internal: the pipeline derived a root-level contradiction."""
 
 
-@dataclass
-class PreprocessConfig:
-    """Effort bounds for the preprocessing pipeline.
+# Effort bounds for the pipeline.  They favor predictable polynomial
+# work over maximal reduction: occurrence/product caps keep bounded
+# variable elimination near-linear, and the round cap bounds the
+# subsume/eliminate interleaving.
 
-    The defaults favor predictable polynomial work over maximal
-    reduction: occurrence/product caps keep bounded variable
-    elimination near-linear, and the round cap bounds the
-    subsume/eliminate interleaving.
-    """
-
-    # Two rounds reach most of the fixpoint: round one does the bulk,
-    # round two mops up what the first round's eliminations exposed
-    # (later rounds chase diminishing tails at full pass cost).
-    max_rounds: int = 2
-    subsumption: bool = True
-    self_subsumption: bool = True
-    pure_literals: bool = True
-    var_elimination: bool = True
-    # Below this many clauses the pipeline is skipped outright (unless
-    # forced): such formulas solve in less time than a pass costs.
-    min_clauses: int = 512
-    # Per-polarity occurrence cap and pos*neg resolution cap for BVE.
-    # Deliberately tight (NiVER-grade rather than SatELite-grade):
-    # on the router encodings the extra reduction from looser caps is
-    # a couple of percentage points while the pass cost and end-to-end
-    # solve time both worsen measurably.
-    elim_occ_limit: int = 4
-    elim_product_limit: int = 12
-    # Abort an elimination producing a resolvent longer than this.
-    elim_resolvent_limit: int = 12
-    # Clauses longer than this are not used as subsumers, and
-    # occurrence lists longer than this are not scanned.
-    subsume_size_limit: int = 24
-    subsume_occ_limit: int = 600
+# Two rounds reach most of the fixpoint: round one does the bulk,
+# round two mops up what the first round's eliminations exposed
+# (later rounds chase diminishing tails at full pass cost).
+MAX_ROUNDS = 2
+# Below this many clauses the pipeline is skipped outright (unless
+# forced): such formulas solve in less time than a pass costs.
+MIN_CLAUSES = 512
+# Per-polarity occurrence cap and pos*neg resolution cap for BVE.
+# Deliberately tight (NiVER-grade rather than SatELite-grade): on the
+# router encodings the extra reduction from looser caps is a couple of
+# percentage points while the pass cost and end-to-end solve time both
+# worsen measurably.
+ELIM_OCC_LIMIT = 4
+ELIM_PRODUCT_LIMIT = 12
+# Abort an elimination producing a resolvent longer than this.
+ELIM_RESOLVENT_LIMIT = 12
+# Clauses longer than this are not used as subsumers, and occurrence
+# lists longer than this are not scanned.
+SUBSUME_SIZE_LIMIT = 24
+SUBSUME_OCC_LIMIT = 600
+# Light inprocessing between restarts runs once this many new root
+# units have accumulated since the last clean.
+INPROCESS_MIN_UNITS = 32
 
 
 def _signature(clause: List[int]) -> int:
@@ -111,9 +109,8 @@ class Preprocessor:
     consequences, so dropping them is always sound).
     """
 
-    def __init__(self, solver, config: Optional[PreprocessConfig] = None):
+    def __init__(self, solver):
         self.solver = solver
-        self.config = config or PreprocessConfig()
         self.clauses: List[Optional[List[int]]] = []
         self.occ: List[List[int]] = []
         self.sig: List[int] = []
@@ -146,15 +143,11 @@ class Preprocessor:
         try:
             self._collect()
             self._flush_units()
-            config = self.config
             self.dirty = list(range(len(self.clauses)))
             self.touched = set(range(solver.num_vars))
-            for _ in range(config.max_rounds):
-                changed = False
-                if config.subsumption:
-                    changed |= self._subsumption_pass()
-                if config.pure_literals or config.var_elimination:
-                    changed |= self._elimination_pass()
+            for _ in range(MAX_ROUNDS):
+                changed = self._subsumption_pass()
+                changed |= self._elimination_pass()
                 if self.units:
                     changed |= self._flush_units()
                 if not changed:
@@ -287,7 +280,6 @@ class Preprocessor:
 
     def _subsumption_pass(self) -> bool:
         """Try each dirty clause as a subsumer, shortest first."""
-        config = self.config
         changed = False
         queue = sorted(
             {i for i in self.dirty if self.clauses[i] is not None},
@@ -296,7 +288,7 @@ class Preprocessor:
         del self.dirty[:]
         for idx in queue:
             clause = self.clauses[idx]
-            if clause is None or len(clause) > config.subsume_size_limit:
+            if clause is None or len(clause) > SUBSUME_SIZE_LIMIT:
                 continue
             changed |= self._backward_subsume(idx)
             if self.units:
@@ -311,14 +303,11 @@ class Preprocessor:
         clause must contain every literal of this clause except at most
         one flipped literal, hence must contain ``best`` or ``¬best``.
         """
-        config = self.config
         clause = self.clauses[idx]
         changed = False
         best = min(clause, key=lambda lit: len(self.occ[lit]))
-        for watch, need_strengthen in ((best, False), (best ^ 1, True)):
-            if need_strengthen and not config.self_subsumption:
-                continue
-            if len(self.occ[watch]) > config.subsume_occ_limit:
+        for watch in (best, best ^ 1):
+            if len(self.occ[watch]) > SUBSUME_OCC_LIMIT:
                 continue
             signature = self.sig[idx]
             length = len(clause)
@@ -337,7 +326,7 @@ class Preprocessor:
                     self._remove_clause(other_idx)
                     self.stats["subsumed"] += 1
                     changed = True
-                elif config.self_subsumption:
+                else:
                     self._strengthen(other_idx, flip)
                     changed = True
                 clause = self.clauses[idx]
@@ -379,7 +368,7 @@ class Preprocessor:
         # Raw occurrence lengths over-count (stale entries), so a var
         # whose both lists far exceed the elimination cap is hopeless;
         # skipping it avoids the compaction cost of _occurrences.
-        hopeless = 2 * self.config.elim_occ_limit
+        hopeless = 2 * ELIM_OCC_LIMIT
         for var in sorted(self.touched):
             if not self._candidate(var):
                 continue
@@ -401,22 +390,19 @@ class Preprocessor:
         return changed
 
     def _try_eliminate(self, var: int) -> bool:
-        config = self.config
         pos = self._occurrences(2 * var)
         neg = self._occurrences(2 * var + 1)
         if not pos or not neg:
-            if (pos or neg) and config.pure_literals:
+            if pos or neg:
                 witness = 2 * var if pos else 2 * var + 1
                 self._eliminate(var, witness, pos or neg, [])
                 self.stats["pure_literals"] += 1
                 return True
             return False
-        if not config.var_elimination:
-            return False
         if (
-            len(pos) > config.elim_occ_limit
-            or len(neg) > config.elim_occ_limit
-            or len(pos) * len(neg) > config.elim_product_limit
+            len(pos) > ELIM_OCC_LIMIT
+            or len(neg) > ELIM_OCC_LIMIT
+            or len(pos) * len(neg) > ELIM_PRODUCT_LIMIT
         ):
             return False
         resolvents = []
@@ -431,7 +417,7 @@ class Preprocessor:
                 )
                 if resolvent is None:
                     continue
-                if len(resolvent) > config.elim_resolvent_limit:
+                if len(resolvent) > ELIM_RESOLVENT_LIMIT:
                     return False
                 resolvents.append(resolvent)
                 if len(resolvents) > budget:

@@ -18,7 +18,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .preprocess import PreprocessConfig, Preprocessor, root_simplify
+from .preprocess import (
+    INPROCESS_MIN_UNITS,
+    MIN_CLAUSES,
+    Preprocessor,
+    root_simplify,
+)
 from .solver import _UNDEF, _luby_sequence, _VarOrder
 
 __all__ = ["ReferenceSatSolver"]
@@ -53,9 +58,6 @@ class ReferenceSatSolver:
         self._clause_act: dict = {}
         # --- preprocessing state (see preprocess.py) -------------------
         self.preprocess_enabled = False
-        self.preprocess_config: Optional[PreprocessConfig] = None
-        self.inprocess_enabled = True
-        self.inprocess_min_units = 32
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
         self._elim_clauses: Dict[int, List[list]] = {}
@@ -275,15 +277,14 @@ class ReferenceSatSolver:
             return False
         if not self._clauses and not self._learnts:
             return True
-        config = self.preprocess_config or PreprocessConfig()
         if not force:
-            if len(self._clauses) < config.min_clauses:
+            if len(self._clauses) < MIN_CLAUSES:
                 return True
             grown = len(self._clauses) - self._pp_clause_mark
             if (self.pp_runs
                     and grown < max(256, self._pp_clause_mark // 8)):
                 return True
-        pre = Preprocessor(self, config)
+        pre = Preprocessor(self)
         ok = pre.run()
         self.pp_runs += 1
         self.pp_units += pre.stats["units"]
@@ -684,9 +685,9 @@ class ReferenceSatSolver:
                     restart_limit = 128 * _luby_sequence(restart_index)
                     self.restarts += 1
                     self._cancel_until(0)
-                    if (self.preprocess_enabled and self.inprocess_enabled
+                    if (self.preprocess_enabled
                             and len(self._trail) - self._last_root_size
-                            >= self.inprocess_min_units):
+                            >= INPROCESS_MIN_UNITS):
                         self.inprocess_runs += 1
                         self.inprocess_removed += root_simplify(self)
                         self._last_root_size = len(self._trail)

@@ -47,7 +47,12 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .preprocess import PreprocessConfig, Preprocessor, root_simplify
+from .preprocess import (
+    INPROCESS_MIN_UNITS,
+    MIN_CLAUSES,
+    Preprocessor,
+    root_simplify,
+)
 
 __all__ = ["SatSolver"]
 
@@ -210,10 +215,6 @@ class SatSolver:
         # Off by default so raw SatSolver users (and white-box tests) get
         # untouched CDCL; the SMT facade enables it per EncoderOptions.
         self.preprocess_enabled = False
-        self.preprocess_config: Optional[PreprocessConfig] = None
-        # Light root-level clause cleaning between restarts.
-        self.inprocess_enabled = True
-        self.inprocess_min_units = 32
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
         # Per eliminated var: its original clauses, for restore-on-reuse.
@@ -522,15 +523,14 @@ class SatSolver:
             return False
         if not self._clause_refs and not self._learnt_refs:
             return True
-        config = self.preprocess_config or PreprocessConfig()
         if not force:
-            if len(self._clause_refs) < config.min_clauses:
+            if len(self._clause_refs) < MIN_CLAUSES:
                 return True
             grown = len(self._clause_refs) - self._pp_clause_mark
             if (self.pp_runs
                     and grown < max(256, self._pp_clause_mark // 8)):
                 return True
-        pre = Preprocessor(self, config)
+        pre = Preprocessor(self)
         ok = pre.run()
         self.pp_runs += 1
         self.pp_units += pre.stats["units"]
@@ -1037,9 +1037,9 @@ class SatSolver:
                     self._cancel_until(0)
                     # Light inprocessing: once enough new root facts have
                     # accumulated, clean the clause database against them.
-                    if (self.preprocess_enabled and self.inprocess_enabled
+                    if (self.preprocess_enabled
                             and len(self._trail) - self._last_root_size
-                            >= self.inprocess_min_units):
+                            >= INPROCESS_MIN_UNITS):
                         self.inprocess_runs += 1
                         self.inprocess_removed += root_simplify(self)
                         self._last_root_size = len(self._trail)

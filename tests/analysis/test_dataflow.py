@@ -1,10 +1,9 @@
-"""Route-propagation dataflow analysis: domain, fixpoint, pruning.
+"""Route-propagation dataflow analysis: domain, fixpoint, loop pivots.
 
 The PrefixSet domain and the fixpoint are the soundness foundation of
-the dataflow-tightened diff cones (test_deps.py) and of the cold-clause
-pruning option, so the properties here are deliberately adversarial:
-the ``ge < length`` prefix-list corner, widening behavior on unbounded
-inputs, and bit-identical verdicts with pruning on and off.
+the dataflow-tightened diff cones (test_deps.py), so the properties
+here are deliberately adversarial: the ``ge < length`` prefix-list
+corner and widening behavior on unbounded inputs.
 """
 
 import hypothesis.strategies as st
@@ -16,13 +15,10 @@ from repro.analysis.dataflow import (
     WIDEN_LIMIT,
     PrefixSet,
     analyze_dataflow,
-    clause_cold_for_prefix,
     loop_candidates,
-    prune_cold_for_prefix,
 )
 from repro.core import properties as P
 from repro.core.encoder import EncoderOptions
-from repro.core.verifier import Verifier
 from repro.net import ip as iplib, network_from_texts
 from repro.net.policy import PrefixListEntry
 
@@ -256,6 +252,15 @@ router bgp 65002
 """
     sets_metric = sets_pref.replace("set local-preference 200",
                                     "set metric 3")
+    # A setter under a match no route can satisfy still counts.
+    cold_setter = """\
+ip prefix-list COLD seq 10 permit 172.16.0.0/16 le 24
+route-map IMPORT permit 10
+ match ip address prefix-list COLD
+ set metric 7
+router bgp 65002
+ neighbor 10.0.0.1 route-map IMPORT in
+"""
     ibgp = dict(CHAIN)
     ibgp["b.cfg"] = ibgp["b.cfg"].replace(
         "neighbor 10.0.1.2 remote-as 65003",
@@ -267,6 +272,7 @@ router bgp 65002
         (CHAIN, ()),
         (with_text(CHAIN, b=sets_pref), ("b",)),
         (with_text(CHAIN, b=sets_metric), ("b",)),
+        (with_text(CHAIN, b=cold_setter), ("b",)),
         (ibgp, ("b", "c")),
         # a's network statement only counts alongside OSPF.
         (with_text(CHAIN, a=ospf), ("a",)),
@@ -280,108 +286,3 @@ router bgp 65002
         assert loop_candidates(net) == risky
         assert tuple(P.NoForwardingLoops.default_candidates(enc)) == risky
 
-
-# ----------------------------------------------------------------------
-# Cold-clause pruning
-# ----------------------------------------------------------------------
-
-PRUNE_TEXTS = dict(CHAIN)
-PRUNE_TEXTS["b.cfg"] = PRUNE_TEXTS["b.cfg"] + """\
-ip prefix-list COLD seq 10 permit 172.16.0.0/16 le 24
-ip prefix-list HOT seq 10 permit 10.0.0.0/8 le 32
-route-map IMPORT deny 10
- match ip address prefix-list COLD
-route-map IMPORT permit 20
- match ip address prefix-list HOT
-router bgp 65002
- neighbor 10.0.0.1 route-map IMPORT in
-"""
-
-
-def test_prune_drops_only_cold_clauses():
-    net = network_from_texts(PRUNE_TEXTS)
-    dst = pfx("10.9.0.0/24")
-    dev = net.devices["b"]
-    clauses = net.devices["b"].route_maps["IMPORT"].clauses
-    cold = [c.seq for c in clauses if clause_cold_for_prefix(dev, c, dst)]
-    assert cold == [10]
-    pruned, dropped = prune_cold_for_prefix(net, dst)
-    assert dropped == 1
-    assert [c.seq for c in pruned.devices["b"].route_maps["IMPORT"].clauses] \
-        == [20]
-    # The original network is untouched.
-    assert len(net.devices["b"].route_maps["IMPORT"].clauses) == 2
-
-
-def cold_setter_network(setter):
-    """CHAIN with a cold route-map clause on b that applies ``setter``."""
-    return network_from_texts(with_text(CHAIN, b=f"""\
-ip prefix-list COLD seq 10 permit 172.16.0.0/16 le 24
-route-map IMPORT permit 10
- match ip address prefix-list COLD
- {setter}
-router bgp 65002
- neighbor 10.0.0.1 route-map IMPORT in
-"""))
-
-
-def test_prune_never_drops_local_pref_clauses():
-    net = cold_setter_network("set local-preference 200")
-    pruned, dropped = prune_cold_for_prefix(net, pfx("10.9.0.0/24"))
-    assert dropped == 0
-    # NoForwardingLoops.default_candidates scans the pruned network for
-    # local-pref-setting maps; dropping the clause would flip b out of
-    # the candidate set.
-    assert loop_candidates(pruned) == loop_candidates(net) == ("b",)
-
-
-def test_prune_never_drops_metric_clauses():
-    # A metric-setting clause makes b a pivot just as local-pref does.
-    net = cold_setter_network("set metric 7")
-    dev = net.devices["b"]
-    clause = dev.route_maps["IMPORT"].clauses[0]
-    assert not clause_cold_for_prefix(dev, clause, pfx("10.9.0.0/24"))
-    pruned, dropped = prune_cold_for_prefix(net, pfx("10.9.0.0/24"))
-    assert dropped == 0
-    assert loop_candidates(pruned) == loop_candidates(net) == ("b",)
-
-
-def verdicts(net, options):
-    verifier = Verifier(net, options=options)
-    dst = "10.9.0.0/24"
-    results = [
-        verifier.verify(P.Reachability(sources="all", dest_prefix_text=dst)),
-        verifier.verify(P.NoForwardingLoops(dest_prefix_text=dst)),
-        verifier.verify(P.NoBlackHoles(dest_prefix_text=dst)),
-    ]
-    return [r.holds for r in results]
-
-
-def test_cold_pruning_preserves_verdicts():
-    net = network_from_texts(PRUNE_TEXTS)
-    plain = verdicts(net, EncoderOptions())
-    pruned = verdicts(net, EncoderOptions(prune_cold_clauses=True))
-    assert plain == pruned
-    assert None not in plain
-
-
-def test_cold_pruning_preserves_a_violation_verdict():
-    # b denies the rack prefix outright: reachability from c is broken,
-    # and pruning the genuinely cold clause must not resurrect it.
-    texts = dict(CHAIN)
-    texts["b.cfg"] = texts["b.cfg"] + """\
-ip prefix-list COLD seq 10 permit 172.16.0.0/16 le 24
-ip prefix-list RACK seq 10 permit 10.9.0.0/24
-route-map IMPORT permit 5
- match ip address prefix-list COLD
-route-map IMPORT deny 10
- match ip address prefix-list RACK
-route-map IMPORT permit 20
-router bgp 65002
- neighbor 10.0.0.1 route-map IMPORT in
-"""
-    net = network_from_texts(texts)
-    plain = verdicts(net, EncoderOptions())
-    pruned = verdicts(net, EncoderOptions(prune_cold_clauses=True))
-    assert plain == pruned
-    assert plain[0] is False  # reachability is indeed broken

@@ -9,11 +9,14 @@ c. comment/whitespace edits never change it (the parser discards them
    before the canonical fragments are written).
 """
 
+from dataclasses import fields
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro.analysis import analyze_configs
 from repro.analysis.deps import (
+    _SEMANTIC_OPTION_FIELDS,
     cache_key,
     device_hash,
     network_facts,
@@ -216,8 +219,16 @@ def test_failure_bound_and_options_change_the_key():
     assert key_of(net) == key_of(
         net, options=EncoderOptions(preprocess=False))
     # Pinned so persisted verdict caches and encoding-cache keys stay
-    # valid when solver-only options are added or removed.
-    assert options_digest(EncoderOptions()) == "8bf96bcc6459"
+    # valid when solver-only options are added or removed; only a
+    # change to the semantic option set may move it.
+    assert options_digest(EncoderOptions()) == "c6d4416a654e"
+
+
+def test_options_fingerprint_covers_every_option():
+    # A new option must be hashed into verdict-cache keys or be listed
+    # here as verdict-neutral, so it cannot leave cached keys stale.
+    assert {f.name for f in fields(EncoderOptions)} == \
+        set(_SEMANTIC_OPTION_FIELDS) | {"max_failures", "preprocess"}
 
 
 def test_options_fingerprint_ignores_solver_strategy_fields():

@@ -106,6 +106,51 @@ class TestOriginSuppression:
         assert any(a.peer == "EXT" for a in cex.announcements)
 
 
+class TestOspfMetricOverflow:
+    """An OSPF path costing more than 16 bits hold is unusable, not a
+    wrapped-around cheap route."""
+
+    RACK = "10.9.0.0/24"
+
+    def build(self, r1_cost):
+        """R1 -(r1_cost)- R2 -(1)- R3, with R3 owning the rack."""
+        b = NetworkBuilder()
+        for name in ("R1", "R2", "R3"):
+            b.device(name).enable_ospf()
+            b.device(name).ospf_network("10.0.0.0/8")
+        r1_iface, _ = b.link("R1", "R2")
+        r1_iface.ospf_cost = r1_cost
+        b.link("R2", "R3")
+        b.device("R3").interface("host", "10.9.0.1/24")
+        return b.build()
+
+    def test_overflowing_path_matches_the_simulator(self):
+        # Before the guard, 65535 + 1 wrapped to 0: an R1<->R2 cycle
+        # could self-justify a ghost route that even R3 followed.
+        from repro.sim import DataPlane, Environment, Packet, simulate
+
+        net = self.build(65535)
+        dataplane = DataPlane(simulate(net, Environment.empty()))
+        packet = Packet(dst_ip=iplib.parse_ip("10.9.0.5"))
+        verdicts = {
+            router: Verifier(net).verify(P.Reachability(
+                sources=[router], dest_prefix_text=self.RACK)).holds
+            for router in net.router_names()
+        }
+        assert verdicts == {"R1": False, "R2": True, "R3": True}
+        assert verdicts == {router: dataplane.reachable(router, packet)
+                            for router in net.router_names()}
+
+    def test_path_just_below_overflow_holds(self):
+        result = Verifier(self.build(65534)).verify(
+            P.Reachability(sources="all", dest_prefix_text=self.RACK))
+        assert result.holds is True
+
+    def test_no_guard_when_sums_cannot_wrap(self):
+        assert NetworkEncoder(self.build(65534))._guard_ospf_metric
+        assert not NetworkEncoder(self.build(100))._guard_ospf_metric
+
+
 class TestEnvironmentSanity:
     def test_announcements_have_nonzero_path_length(self):
         b = NetworkBuilder()

@@ -8,6 +8,7 @@ and (c) surface the reachability flip with a counterexample.
 """
 
 import json
+import os
 
 import pytest
 
@@ -98,6 +99,33 @@ def test_cache_missing_or_corrupt_file_is_cold(tmp_path):
                      "bad": {"holds": "yes"}}}))
     loaded = VerdictCache.load(str(bad))
     assert "ok" in loaded and "bad" not in loaded
+
+
+def test_cache_crash_before_rename_keeps_previous_file(tmp_path,
+                                                      monkeypatch):
+    path = tmp_path / "cache.json"
+    cache = VerdictCache(str(path))
+    cache.put("k1", {"holds": True, "message": "ok"})
+    cache.save()
+    before = path.read_text()
+    cache.put("k2", {"holds": False, "message": "broken"})
+
+    def crash(src, dst):
+        raise OSError("crash before rename")
+
+    monkeypatch.setattr(os, "replace", crash)
+    with pytest.raises(OSError):
+        cache.save()
+    monkeypatch.undo()
+
+    assert path.read_text() == before
+    loaded = VerdictCache.load(str(path))
+    assert len(loaded) == 1 and "k1" in loaded
+    assert not list(tmp_path.glob("*.tmp"))
+    # The unsaved verdict is still pending for the next save.
+    assert cache.dirty
+    cache.save()
+    assert len(VerdictCache.load(str(path))) == 2
 
 
 def test_cache_save_requires_a_path():

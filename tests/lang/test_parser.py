@@ -215,6 +215,23 @@ class TestErrors:
             parse_config(text)
         assert err.value.lineno == 3
 
+    @pytest.mark.parametrize("metric", ["-1", "65536", "70000"])
+    @pytest.mark.parametrize("header", ["router ospf 1", "router bgp 65001"])
+    def test_redistribute_metric_out_of_range(self, header, metric):
+        # The encoder's 16-bit metric would wrap N while the simulator
+        # keeps it whole (70000 -> 4464).
+        text = f"{header}\n redistribute static metric {metric}\n"
+        with pytest.raises(ConfigSyntaxError) as err:
+            parse_config(text)
+        assert err.value.lineno == 2
+
+    def test_redistribute_metric_bounds_accepted(self):
+        text = "router ospf 1\n redistribute static metric 65535\n" \
+            "router bgp 65001\n redistribute connected metric 0\n"
+        config = parse_config(text)
+        assert config.ospf.redistribute == {"static": 65535}
+        assert config.bgp.redistribute == {"connected": 0}
+
     def test_ospf_cost_range_bounds_accepted(self):
         for cost in (1, 65535):
             config = parse_config(f"interface e0\n ip ospf cost {cost}\n")

@@ -1,5 +1,7 @@
 """Snapshot registry: identity, tenancy, caching, persistence."""
 
+import os
+
 import pytest
 
 from repro.core import BatchQuery, Verifier, properties as P
@@ -229,6 +231,39 @@ class TestPersistence:
                                  state_dir=str(state))
         with pytest.raises(ApiError):
             fresh.resolve("t1", "prod")
+
+    def test_crash_before_rename_keeps_previous_state(
+            self, tmp_path, texts, monkeypatch):
+        # A crash between writing the temp file and os.replace must
+        # leave the previous meta.json and verdicts.json in place.
+        state = tmp_path / "serve-state"
+        first = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        snap = first.ingest("t1", texts, name="prod")
+        first.verify(snap, [reach(label="q")])
+        base = state / "tenants" / "t1" / "prod"
+        before = {name: (base / name).read_text()
+                  for name in ("meta.json", "verdicts.json")}
+
+        def crash(src, dst):
+            raise OSError("crash before rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        # A replayed query only rewrites meta.json; a new one first
+        # rewrites verdicts.json.
+        with pytest.raises(OSError):
+            first.verify(snap, [reach(label="q")])
+        with pytest.raises(OSError):
+            first.verify(snap, [reach(sources=["R1"], label="r1")])
+        monkeypatch.undo()
+
+        assert {name: (base / name).read_text()
+                for name in before} == before
+        assert not list(state.rglob("*.tmp"))
+        second = SnapshotRegistry(cache=TTLLRUCache(), state_dir=str(state))
+        restored = second.resolve("t1", "prod")
+        assert restored.snapshot_id == snap.snapshot_id
+        results, _ = second.verify(restored, [reach(label="q")])
+        assert results[0].cached
 
     @staticmethod
     def skipped(caplog):

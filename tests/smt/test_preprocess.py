@@ -12,7 +12,6 @@ import random
 from repro.core import EncoderOptions, Verifier, properties as P
 from repro.gen import build_fattree
 from repro.smt import SAT, Solver, UNSAT, bool_var
-from repro.smt.sat.preprocess import PreprocessConfig
 from repro.smt.sat.solver import SatSolver
 from repro.smt.terms import and_, not_, or_
 
@@ -264,25 +263,6 @@ class TestNetworkDifferential:
 
 
 class TestConfigKnobs:
-    def test_techniques_can_be_disabled(self):
-        config = PreprocessConfig(subsumption=False,
-                                  self_subsumption=False,
-                                  pure_literals=False,
-                                  var_elimination=False)
-        solver = SatSolver()
-        solver.preprocess_enabled = True
-        solver.preprocess_config = config
-        clauses = [[1, 2], [1, 2, 3], [4, 1], [-4, 2]]
-        for clause in clauses:
-            solver.add_clause(clause)
-        assert solver.simplify(force=True)
-        stats = solver.stats()
-        assert stats["pp_runs"] == 1
-        assert stats["pp_subsumed"] == 0
-        assert stats["pp_eliminated_vars"] == 0
-        assert stats["pp_pure_literals"] == 0
-        assert solver.solve() is True
-
     def test_gate_skips_small_instances(self):
         solver = SatSolver()
         solver.preprocess_enabled = True

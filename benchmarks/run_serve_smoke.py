@@ -10,13 +10,19 @@ whole verification-as-a-service lifecycle over HTTP:
 * **Warm verdict replay** — repeat the identical batch: every verdict
   must replay from the snapshot's verdict cache, bit-identical
   (``warm_verdict_match``, ``warm_replayed``).
-* **Warm encoding reuse** — a *different* query set in the same
-  (dst-prefix, k) groups must hit the cross-request encoding cache:
+* **Warm encoding reuse** — a *different* query set for the same
+  destination prefixes must hit the cross-request encoding cache:
   the response's per-request stats report hits and zero misses, every
   result carries ``encode_shared_seconds == 0`` (the parse/build/
   encode phases were skipped outright), and verdicts again match a
   fresh solve (``encoding_hit_on_warm``, ``warm_encode_skipped``,
   ``encoding_warm_verdict_match``).
+* **One encoding per prefix** — a batch holding a k=0 and a k=1 query
+  for one prefix (cached so far at k=0) must rebuild that prefix's
+  encoding once, at k=1 (``misses == 1``, visible as
+  ``engine_encoding_bound_raised_total`` on ``/metrics``); a following
+  k=0 ``/verify`` must hit it and return the fresh k=0 verdict
+  (``bound_shared_encoding``, ``bound_verdict_match``).
 * **Refresh as differential verification** — renumber one ToR's rack
   and refresh the snapshot in place: the next batch must replay every
   untouched-slice verdict and re-solve exactly the edited rack's
@@ -49,6 +55,7 @@ import time
 import urllib.error
 import urllib.request
 
+from repro import Verifier
 from repro.core import BatchQuery, properties as P, verify_batch
 from repro.gen import build_fattree
 from repro.lang.writer import write_config
@@ -273,6 +280,53 @@ def main() -> int:
                 verdicts(enc["results"]) == [r.holds for r in fresh_enc]
             )
 
+            # Mixed failure bounds on one prefix share one encoding,
+            # built at the larger bound; the smaller bound then hits it.
+            tor, subnet = subnets[-1]
+            bound_queries = [
+                BatchQuery(P.NoBlackHoles(dest_prefix_text=subnet),
+                           max_failures=k, label=f"holes-{tor}-k{k}")
+                for k in (0, 1)
+            ]
+            bound_batch = client.call(
+                "POST",
+                "/v1/snapshots/prod/verify-batch",
+                {"queries": [
+                    {"property": "blackholes", "dest_prefix": subnet,
+                     "max_failures": q.max_failures, "label": q.label}
+                    for q in bound_queries
+                ]},
+            )
+            core = next(name for name in network.router_names()
+                        if name.startswith("core"))
+            bound_query = BatchQuery(
+                P.Reachability(sources=[core], dest_prefix_text=subnet),
+                max_failures=0, label=f"reach-{tor}-from-{core}-k0")
+            bound_one = client.call(
+                "POST",
+                "/v1/snapshots/prod/verify",
+                {"property": "reachability", "sources": [core],
+                 "dest_prefix": subnet, "max_failures": 0,
+                 "label": bound_query.label},
+            )
+            metrics["bound_shared_encoding"] = exact(
+                bound_batch["stats"]["misses"] == 1
+                and bound_batch["stats"]["hits"] == 0
+                and bound_one["stats"]["hits"] == 1
+                and bound_one["stats"]["misses"] == 0
+                and bound_one["result"]["encode_shared_seconds"] == 0.0
+            )
+            # Fresh per-bound solves: each builds its own encoding at k.
+            fresh_bound = [
+                Verifier(network, preflight=False).verify(
+                    q.prop, max_failures=q.max_failures).holds
+                for q in bound_queries + [bound_query]
+            ]
+            metrics["bound_verdict_match"] = exact(
+                verdicts(bound_batch["results"] + [bound_one["result"]])
+                == fresh_bound
+            )
+
             # Refresh with a renumbered rack: differential verification
             # over HTTP.  Only the edited rack's queries may re-solve.
             # (Same edit as run_diff_smoke: rewrite the rack's octet
@@ -320,6 +374,9 @@ def main() -> int:
             families = parse_exposition(client.text("/metrics"))
             metrics["metrics_parse"] = exact(
                 "serve_cache_hit_total" in families
+            )
+            metrics["bound_raise_exported"] = exact(
+                "engine_encoding_bound_raised_total" in families
             )
             metrics["prom_families"] = float(len(families))
         finally:
@@ -389,6 +446,9 @@ def main() -> int:
         "encoding_hit_on_warm",
         "warm_encode_skipped",
         "encoding_warm_verdict_match",
+        "bound_shared_encoding",
+        "bound_verdict_match",
+        "bound_raise_exported",
         "refresh_changed_exact",
         "refresh_replay_exact",
         "refresh_verdict_match",

@@ -555,7 +555,6 @@ _SEMANTIC_OPTION_FIELDS = (
     "slice_connected",
     "merge_fwd",
     "model_ibgp",
-    "exact_failures",
     "fail_external",
 )
 

@@ -92,7 +92,6 @@ class EncoderOptions:
     merge_fwd: bool = True           # share control/data fwd when no ACLs
     model_ibgp: bool = True          # §4 iBGP with recursive lookup
     max_failures: int = 0            # k in the §5 fault-tolerance bound
-    exact_failures: bool = False     # require exactly k instead of <= k
     fail_external: bool = True       # external peering links can also fail
     preprocess: bool = True          # SAT-level CNF simplification (§8)
 
@@ -191,6 +190,17 @@ class EncodedNetwork:
 
     def link_failed(self, a: str, b: str) -> Term:
         return self.failed.get(_link_key(a, b), FALSE)
+
+    def failure_bits(self) -> List[Term]:
+        """Every modeled link's failure bit, internal links first."""
+        return list(self.failed.values()) + list(self.failed_ext.values())
+
+    def failures_at_most(self, k: int) -> Term:
+        """At most ``k`` of the modeled links fail.  The bits are in the
+        order the encoder counted them, so for ``k`` below the encoded
+        bound the hash-consed counter reuses the gates the bound built
+        and adds a few gates for its final output."""
+        return at_most_k(self.failure_bits(), k)
 
     def fresh_bool(self, stem: str) -> Term:
         return bool_var(f"{stem}#{next(self._fresh)}")
@@ -366,9 +376,6 @@ class NetworkEncoder:
                 bits.append(var)
         if bits:
             enc.add(at_most_k(bits, k))
-            if self.options.exact_failures:
-                from repro.smt import at_least_k
-                enc.add(at_least_k(bits, k))
 
     def _encode_environment(self, enc: EncodedNetwork) -> None:
         for peer in self.network.externals:
@@ -399,6 +406,9 @@ class NetworkEncoder:
         Non-adjacent (multihop) sessions need IGP reachability toward the
         peer address: concrete when no failures are modeled, otherwise via
         an IGP network copy with the destination pinned to the peer address.
+        Both follow control-plane forwarding and ignore ACLs, as the
+        simulator's session check does, so a bound-K encoding under
+        "at most 0 links fail" brings up the same sessions as a k=0 one.
         """
         sessions: Dict[Tuple[str, int], Term] = {}
         if not self.options.model_ibgp:
@@ -435,7 +445,10 @@ class NetworkEncoder:
     def _encode_igp_copy(self, enc: EncodedNetwork, start: str,
                          dst_ip_value: int) -> Term:
         """§4: a copy of the IGP network with dstIp pinned to the session
-        address; returns the start router's reachability in the copy."""
+        address; returns the start router's reachability in the copy.
+        Reachability and first hops follow the copy's control-plane
+        forwarding: ACLs filter the data packet, which the outer
+        encoding checks on each hop, not the session."""
         stripped = _igp_only_network(self.network)
         sub = NetworkEncoder(stripped, self.options)
         ns = f"{self._ns}copy[{start},{iplib.format_ip(dst_ip_value)}]."
@@ -452,7 +465,7 @@ class NetworkEncoder:
         for router in copy.routers():
             reach[router] = bool_var(f"{ns}reach[{router}]")
         for router in copy.routers():
-            hops = [and_(copy.data_fwd(router, t), reach[t])
+            hops = [and_(copy.control_fwd(router, t), reach[t])
                     for t in copy.targets_of(router)
                     if t in self.network.devices]
             base = TRUE if router == owner else FALSE
@@ -460,7 +473,7 @@ class NetworkEncoder:
         # Remember the copy's first-hop forwarding for the recursive
         # data-plane lookup at ``start``.
         self._fwd_copies[(start, dst_ip_value)] = {
-            target: copy.data_fwd(start, target)
+            target: copy.control_fwd(start, target)
             for target in copy.targets_of(start)
             if target in self.network.devices
         }

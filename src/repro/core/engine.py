@@ -10,8 +10,12 @@ queries only differ in the property term.
 This engine exploits two levers:
 
 * **Shared-encoding incremental solving.**  Queries are grouped by
-  (destination prefix, effective failure bound); the group's network is
-  encoded once and loaded into one :class:`Solver`.  Each property's
+  destination prefix; the group's network is encoded once, at the
+  largest effective failure bound K among its members, and loaded into
+  one :class:`Solver`.  The §5 bound is one cardinality constraint over
+  the failure bits, so a K encoding holds every smaller bound: a member
+  with k < K is checked under the extra assumption "at most k links
+  fail" (:meth:`EncodedNetwork.failures_at_most`).  Each property's
   instrumentation is asserted *guarded by a fresh activation literal*
   (``act → c`` for every instrumentation constraint ``c``) and the check
   runs under ``assumptions=[act, ¬P]``.  Guarding matters: property
@@ -83,9 +87,10 @@ class BatchQuery:
         return self.label or type(self.prop).__name__
 
 
-# Group key: (dst_prefix, effective max_failures).  Options are engine-wide
-# and identical across groups except for the failure bound.
-_GroupKey = Tuple[Optional[Tuple[int, int]], int]
+# Group key: the destination prefix.  Options are engine-wide and
+# identical across groups except for the failure bound, which is the
+# largest effective bound among the group's members.
+_GroupKey = Optional[Tuple[int, int]]
 
 # A cached GroupEncoding accretes activation-guarded instrumentation
 # clauses with every query it discharges; they are inert for later
@@ -93,6 +98,11 @@ _GroupKey = Tuple[Optional[Tuple[int, int]], int]
 # cached encoding that has discharged this many queries is treated as
 # a miss and rebuilt fresh instead of reused.
 _GROUP_RECYCLE_QUERIES = 256
+
+# Orders a finished run's re-insert of its encoding against a
+# concurrent run replacing that encoding (larger bound, recycle): a
+# superseded encoding is never put back over its replacement.
+_CACHE_PUT_LOCK = threading.Lock()
 
 # Stable states a lazy query may refine away before giving up UNKNOWN.
 _LAZY_ITERATIONS = 200
@@ -129,6 +139,9 @@ class GroupEncoding:
         #: queries discharged over the lifetime of this encoding (grows
         #: across requests when the encoding is cached and reused)
         self.queries_discharged = 0
+        #: set once a cache entry replaces this encoding; it is then
+        #: never re-inserted under its old key
+        self.superseded = False
         with tracer.span("verify.encode", shared=True) as sp:
             encoder = NetworkEncoder(network, options)
             self.enc = encoder.encode(dst_prefix=dst_prefix)
@@ -158,13 +171,23 @@ class GroupEncoding:
         ``shared_share`` is the slice of the one-time encoding cost
         attributed to this query's stats (0.0 when the encoding was
         reused from a cache — the query then paid no encode cost).
+
+        The query's effective failure bound k may be below the
+        encoding's bound K; it is then checked under the assumption
+        that at most k links fail.
         """
         tracer = tracer if tracer is not None else obs.active()
         enc, solver, prop = self.enc, self.solver, query.prop
         lazy = getattr(prop, "lazy", False)
+        bound = self.options.max_failures
+        k = effective_max_failures(prop, query.max_failures, self.options)
+        if k > bound:
+            raise ValueError(f"query {query.name()} needs k={k}, "
+                             f"but the encoding bounds failures at {bound}")
         with self.lock:
             self.queries_discharged += 1
-            qspan = tracer.span("batch.query", query=query.name())
+            qspan = tracer.span("batch.query", query=query.name(),
+                                max_failures=k)
             with qspan:
                 with tracer.span("verify.property",
                                  property=query.name()) as sp_query:
@@ -177,6 +200,10 @@ class GroupEncoding:
                     # A lazy property has no term to negate (it encodes
                     # to TRUE); it is checked on each model instead.
                     assumptions = [act] if lazy else [act, not_(prop_term)]
+                    if k < bound:
+                        at_most = enc.failures_at_most(k)
+                        if at_most.kind != "true":
+                            assumptions.append(at_most)
                     for assumption in query.assumptions:
                         assumptions.append(assumption(enc))
                 if lazy:
@@ -296,11 +323,13 @@ class BatchEngine:
                                 continue
                             cache_keys[index] = ckey
                         metrics.counter("diff.reverified").inc()
-                    key = (query.prop.dst_prefix(),
-                           effective_max_failures(query.prop,
-                                                  query.max_failures,
-                                                  self.options))
-                    groups.setdefault(key, []).append((index, query))
+                    # Pin the effective bound on the query: the group's
+                    # options carry the group's bound, not the engine's.
+                    k = effective_max_failures(query.prop,
+                                               query.max_failures,
+                                               self.options)
+                    groups.setdefault(query.prop.dst_prefix(), []).append(
+                        (index, replace(query, max_failures=k)))
             root.set(groups=len(groups))
             metrics.counter("batch.queries").inc(len(batch))
             metrics.counter("batch.groups").inc(len(groups))
@@ -350,64 +379,85 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
 
-    def _group_options(self, key: _GroupKey) -> EncoderOptions:
-        _, k = key
+    def _group_options(self, members: List[Tuple[int, BatchQuery]]
+                       ) -> EncoderOptions:
+        """The engine options at the group's bound: the largest
+        effective bound among its (bound-pinned) members."""
+        k = max(query.max_failures for _, query in members)
         options = self.options
         if k != options.max_failures:
             options = replace(options, max_failures=k)
         return options
 
-    def encoding_cache_key(self, key: _GroupKey) -> str:
+    def encoding_cache_key(self, dst: _GroupKey) -> str:
         """The scoped cache key of one group's encoding:
-        ``{scope}enc/{dst-prefix}/k{failures}/{options-digest}``."""
+        ``{scope}enc/{dst-prefix}/{options-digest}``.  The failure bound
+        is not part of it: an encoding at bound K answers any k <= K."""
         from repro.analysis.deps import options_digest
 
-        dst, k = key
         prefix = iplib.format_prefix(*dst) if dst else "any"
-        digest = options_digest(self._group_options(key))
-        return f"{self.encoding_scope}enc/{prefix}/k{k}/{digest}"
+        digest = options_digest(self.options)
+        return f"{self.encoding_scope}enc/{prefix}/{digest}"
 
-    def _cached_group(self, key: _GroupKey, ckey: str
-                      ) -> Tuple[GroupEncoding, bool]:
+    def _cached_group(self, dst: _GroupKey, options: EncoderOptions,
+                      ckey: str) -> Tuple[GroupEncoding, bool]:
         """Fetch (or build and insert) the group's encoding via the
         encoding cache.  Returns ``(group, reused)``: a reused group
         already paid its encode cost in some earlier run, so stats for
-        this run's queries attribute zero shared encoding time."""
-        group = self.encoding_cache.get(ckey)
+        this run's queries attribute zero shared encoding time.
+
+        A cached encoding at a bound below ``options.max_failures``
+        cannot answer the group; it is rebuilt at the larger bound and
+        replaced."""
+        old = self.encoding_cache.get(ckey)
         metrics = obs.metrics()
-        if group is not None:
-            if group.queries_discharged < _GROUP_RECYCLE_QUERIES:
+        if old is not None:
+            if old.options.max_failures < options.max_failures:
+                metrics.counter("engine.encoding_bound_raised").inc()
+            elif old.queries_discharged < _GROUP_RECYCLE_QUERIES:
                 self.last_encoding_stats["hits"] += 1
                 metrics.counter("engine.encoding_cache_hit").inc()
-                return group, True
-            # Too much inert per-query instrumentation has piled up in
-            # the shared solver; rebuild rather than keep degrading.
-            metrics.counter("engine.encoding_recycled").inc()
+                return old, True
+            else:
+                # Too much inert per-query instrumentation has piled up
+                # in the shared solver; rebuild rather than keep
+                # degrading.
+                metrics.counter("engine.encoding_recycled").inc()
         self.last_encoding_stats["misses"] += 1
         metrics.counter("engine.encoding_cache_miss").inc()
-        group = GroupEncoding(self.network, self._group_options(key),
-                              self.conflict_budget, key[0])
-        self.encoding_cache.put(ckey, group, group.cache_size())
+        group = GroupEncoding(self.network, options,
+                              self.conflict_budget, dst)
+        with _CACHE_PUT_LOCK:
+            if old is not None:
+                old.superseded = True
+            self.encoding_cache.put(ckey, group, group.cache_size())
         return group, False
 
-    def _run_group(self, key: _GroupKey,
+    def _run_group(self, dst: _GroupKey,
                    members: List[Tuple[int, BatchQuery]],
                    ) -> Tuple[List[Tuple[int, VerificationResult]],
                               Optional[Dict]]:
         group, reused, ckey = None, False, None
+        options = self._group_options(members)
         if self.encoding_cache is not None:
-            ckey = self.encoding_cache_key(key)
-            group, reused = self._cached_group(key, ckey)
-        out = _solve_group(self.network, self._group_options(key),
-                           self.conflict_budget, key[0], members,
+            ckey = self.encoding_cache_key(dst)
+            group, reused = self._cached_group(dst, options, ckey)
+            options = group.options
+        out = _solve_group(self.network, options,
+                           self.conflict_budget, dst, members,
                            group=group, group_reused=reused)
         if group is not None:
             # This run's queries grew the solver's clause DB; re-insert
             # with a fresh size estimate so the cache's byte accounting
             # tracks the entry's real footprint over its lifetime (an
             # entry grown past the whole budget gets dropped here and
-            # rebuilt fresh by the next request).
-            self.encoding_cache.put(ckey, group, group.cache_size())
+            # rebuilt fresh by the next request).  A concurrent run may
+            # have replaced it meanwhile (larger bound, recycle); then
+            # the replacement stays.
+            with _CACHE_PUT_LOCK:
+                if not group.superseded:
+                    self.encoding_cache.put(ckey, group,
+                                            group.cache_size())
         return out
 
     def _run_parallel(self, groups, results) -> bool:
@@ -427,8 +477,8 @@ class BatchEngine:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_solve_group, self.network,
-                                self._group_options(key),
-                                self.conflict_budget, key[0], members,
+                                self._group_options(members),
+                                self.conflict_budget, key, members,
                                 collect_trace=tracer.enabled,
                                 run_id=obslog.run_id())
                     for key, members in items]

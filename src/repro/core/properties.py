@@ -749,8 +749,7 @@ class _Silent:
 @dataclass(frozen=True)
 class _NoFailures:
     def __call__(self, enc: EncodedNetwork) -> Term:
-        bits = list(enc.failed.values()) + list(enc.failed_ext.values())
-        return and_(*[not_(b) for b in bits])
+        return and_(*[not_(b) for b in enc.failure_bits()])
 
 
 def announces(peer: str, min_length: int = 0, max_length: int = 32,

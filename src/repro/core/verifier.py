@@ -292,9 +292,11 @@ class Verifier:
         ``queries`` is a sequence of :class:`Property` instances or
         :class:`repro.core.engine.BatchQuery` objects (which add a
         per-query failure bound, assumptions and a label).  Queries are
-        grouped by (destination prefix, effective failure bound); each
-        group encodes the network once and discharges every property in
-        it via assumption-based incremental checks.  With ``workers > 1``
+        grouped by destination prefix; each group encodes the network
+        once, at the largest effective failure bound among its queries,
+        and discharges every property in it via assumption-based
+        incremental checks (a smaller bound k is one more assumption,
+        "at most k links fail").  With ``workers > 1``
         groups run in a process pool; results always come back in query
         order, identical to per-query :meth:`verify` answers.
 

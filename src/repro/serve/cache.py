@@ -7,9 +7,10 @@ instances — is expensive to build and cheap to rebuild *correctly*
 registry always keeps).  That makes a lossy cache the right shape: any
 entry may vanish at any time and the only cost is a rebuild.
 
-Keys are slash-scoped strings, ``{tenant}/{snapshot}/enc/{dst}/k{k}/
-{options-digest}`` for encodings and ``{tenant}/{snapshot}/net`` for
-built networks.  Scoping does double duty:
+Keys are slash-scoped strings, ``{tenant}/{snapshot}/enc/{dst}/
+{options-digest}`` for encodings (one per destination prefix, at the
+largest failure bound asked of it so far) and ``{tenant}/{snapshot}/net``
+for built networks.  Scoping does double duty:
 
 * **Tenancy** — every key is prefixed by the owning tenant, and the
   registry only ever composes keys for the tenant named in the

@@ -221,7 +221,7 @@ def test_failure_bound_and_options_change_the_key():
     # Pinned so persisted verdict caches and encoding-cache keys stay
     # valid when solver-only options are added or removed; only a
     # change to the semantic option set may move it.
-    assert options_digest(EncoderOptions()) == "c6d4416a654e"
+    assert options_digest(EncoderOptions()) == "afea895ce9f7"
 
 
 def test_options_fingerprint_covers_every_option():
@@ -234,7 +234,7 @@ def test_options_fingerprint_covers_every_option():
 def test_options_fingerprint_ignores_solver_strategy_fields():
     a = options_fingerprint(EncoderOptions())
     assert a == options_fingerprint(EncoderOptions(preprocess=False))
-    assert a != options_fingerprint(EncoderOptions(exact_failures=True))
+    assert a != options_fingerprint(EncoderOptions(fail_external=False))
 
 
 def test_device_hash_tracks_canonical_form():

@@ -78,19 +78,3 @@ class TestFailuresNeeded:
         result = Verifier(net).verify(prop)
         assert result.holds is False
         assert result.counterexample.failed_links
-
-
-class TestExactFailures:
-    def test_exact_failures_option(self):
-        from repro.smt import Solver, not_
-
-        net = tiny()
-        enc = NetworkEncoder(
-            net, EncoderOptions(max_failures=1,
-                                exact_failures=True)).encode()
-        solver = Solver()
-        solver.add(*enc.constraints)
-        # Exactly one failure: the all-up assignment is excluded.
-        bits = list(enc.failed.values()) + list(enc.failed_ext.values())
-        solver.add(*[not_(b) for b in bits])
-        assert solver.check().name == "unsat"

@@ -235,8 +235,7 @@ class TestEncodingCache:
         cache = TTLLRUCache()
         engine = BatchEngine(network, encoding_cache=cache)
         prop = P.Reachability(sources="all", dest_prefix_text="10.9.0.0/24")
-        key = engine.encoding_cache_key(
-            (prop.dst_prefix(), engine.options.max_failures))
+        key = engine.encoding_cache_key(prop.dst_prefix())
         tracer = obs.Tracer()
         with obs.use(tracer):
             engine.run([prop])
@@ -254,6 +253,84 @@ class TestEncodingCache:
         assert snap["engine.encoding_recycled"]["value"] == 1
         assert snap["engine.encoding_cache_hit"]["value"] == 1
         assert snap["engine.encoding_cache_miss"]["value"] == 2
+
+    # On a 2-node chain one failure cuts R1 off: the bound flips the
+    # verdict, so an encoding answering at the wrong bound shows.
+    def _bound_engine(self):
+        from repro.serve import TTLLRUCache
+
+        cache = TTLLRUCache()
+        engine = BatchEngine(ospf_chain(2), encoding_cache=cache)
+        prop = P.Reachability(sources=["R1"],
+                              dest_prefix_text="10.9.0.0/24")
+        return engine, cache, prop, engine.encoding_cache_key(
+            prop.dst_prefix())
+
+    def test_larger_bound_encoding_answers_smaller_k(self):
+        engine, cache, prop, key = self._bound_engine()
+        [k1] = engine.run([BatchQuery(prop, max_failures=1)])
+        assert k1.holds is False
+        assert cache.get(key).options.max_failures == 1
+        [k0] = engine.run([BatchQuery(prop, max_failures=0)])
+        assert engine.last_encoding_stats == {"hits": 1, "misses": 0}
+        assert k0.encode_shared_seconds == 0.0
+        assert k0.holds is True
+        assert k0.holds == Verifier(ospf_chain(2)).verify(
+            prop, max_failures=0).holds
+
+    def test_encoding_refuses_a_larger_k(self):
+        from repro.core.engine import GroupEncoding
+
+        _, _, prop, _ = self._bound_engine()
+        group = GroupEncoding(ospf_chain(2), EncoderOptions(),
+                              dst_prefix=prop.dst_prefix())
+        with pytest.raises(ValueError, match="bounds failures at 0"):
+            group.solve_one(BatchQuery(prop, max_failures=1))
+
+    def test_smaller_bound_encoding_is_rebuilt_at_larger_k(self):
+        from repro import obs
+
+        engine, cache, prop, key = self._bound_engine()
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            engine.run([BatchQuery(prop, max_failures=0)])
+            first = cache.get(key)
+            assert first.options.max_failures == 0
+            [k1] = engine.run([BatchQuery(prop, max_failures=1)])
+            assert engine.last_encoding_stats == {"hits": 0, "misses": 1}
+            rebuilt = cache.get(key)
+            assert rebuilt is not first
+            assert rebuilt.options.max_failures == 1
+            [k0] = engine.run([BatchQuery(prop, max_failures=0)])
+            assert engine.last_encoding_stats == {"hits": 1, "misses": 0}
+        assert (k1.holds, k0.holds) == (False, True)
+        snap = tracer.metrics.snapshot()
+        assert snap["engine.encoding_bound_raised"]["value"] == 1
+        assert snap["engine.encoding_cache_miss"]["value"] == 2
+
+    def test_replaced_encoding_is_not_put_back(self, monkeypatch):
+        from repro.core import engine as engine_mod
+
+        engine, cache, prop, key = self._bound_engine()
+        engine.run([BatchQuery(prop, max_failures=0)])
+        first = cache.get(key)
+        real_solve = engine_mod._solve_group
+        interleaved = []
+
+        def solve_after_a_k1_run(*args, **kwargs):
+            # A concurrent k=1 request raises the entry to K=1 while
+            # this k=0 run still holds the K=0 encoding.
+            if not interleaved:
+                interleaved.append(True)
+                BatchEngine(engine.network, encoding_cache=cache).run(
+                    [BatchQuery(prop, max_failures=1)])
+            return real_solve(*args, **kwargs)
+
+        monkeypatch.setattr(engine_mod, "_solve_group", solve_after_a_k1_run)
+        [k0] = engine.run([BatchQuery(prop, max_failures=0)])
+        assert k0.holds is True
+        assert first.superseded
+        assert cache.get(key).options.max_failures == 1
 
 
 class TestStats:

@@ -119,8 +119,8 @@ class TestVerify:
         cold = [reach(label="q1"), reach(sources=["R1"], label="q2")]
         registry.verify(snap, cold)
         # Verdict keys are semantic (labels don't count), so the warm
-        # batch needs *different* sources in the same (prefix, k)
-        # group: it must reuse the group encoding, not replay verdicts.
+        # batch needs *different* sources for the same prefix: it must
+        # reuse the group encoding, not replay verdicts.
         warm = [reach(sources=["R3"], label="q3"),
                 reach(sources=["R2"], label="q4")]
         results, stats = registry.verify(snap, warm)

@@ -32,10 +32,13 @@ Correctness contract with the incremental solver:
   for them, and leaving them free is what lets elimination reach the
   encoder's single-use definitional gates.
 * **A reconstruction stack extends models over eliminated variables.**
-  Each elimination pushes the removed clauses of the witness polarity;
-  after a satisfying search the stack is replayed in reverse, setting
-  each eliminated variable so its original clauses hold, which keeps
-  :meth:`SatSolver.model_value` exact for every variable.
+  Each elimination stores the variable's removed clauses as one flat
+  record (witness clauses first) and pushes its witness literal; after
+  a satisfying search :func:`extend_model` replays the stack in
+  reverse, setting each eliminated variable so its original clauses
+  hold, which keeps :meth:`SatSolver.model_value` exact for every
+  variable.  Each run first drops the entries of restored variables,
+  so the stack holds one entry per eliminated variable.
 * **Eliminated variables are restored on reuse.**  If a new clause or
   assumption mentions an eliminated variable, the solver re-adds the
   clauses saved at elimination time (cascading through any eliminated
@@ -45,13 +48,15 @@ Correctness contract with the incremental solver:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Iterator, List, Optional, Sequence
 
 __all__ = [
     "INPROCESS_MIN_UNITS",
     "MIN_CLAUSES",
     "Preprocessor",
+    "extend_model",
     "root_simplify",
+    "stored_clauses",
 ]
 
 _UNDEF = -1
@@ -99,6 +104,57 @@ def _signature(clause: List[int]) -> int:
     return mask
 
 
+def stored_clauses(record: Sequence[int]) -> Iterator[Sequence[int]]:
+    """The clauses of one flat elimination record, in stored order.
+
+    A record is ``(len, lits..., len, lits..., ...)``: every clause
+    removed when its variable was eliminated, the clauses holding the
+    witness literal first.  One tuple per variable instead of one per
+    clause keeps the store small and out of the cycle collector.
+    """
+    i = 0
+    size = len(record)
+    while i < size:
+        stop = i + 1 + record[i]
+        yield record[i + 1 : stop]
+        i = stop
+
+
+def extend_model(solver) -> List[int]:
+    """The solver's assignment, extended over eliminated variables.
+
+    Replays the reconstruction stack in reverse: each witness defaults
+    to false and flips to true iff one of the clauses holding it,
+    removed at its elimination, is otherwise unsatisfied — exactly the
+    NiVER model-extension argument.  Non-witness literals in those
+    clauses are final when the witness is processed (their own
+    eliminations, if any, are deeper in the stack).
+    """
+    model = list(solver._assign)
+    eliminated = solver._eliminated
+    elim_clauses = solver._elim_clauses
+    for witness in reversed(solver._reconstruction):
+        var = witness >> 1
+        if var not in eliminated:
+            continue  # restored since; search assigned it directly
+        value = witness & 1  # witness-false default
+        for clause in stored_clauses(elim_clauses[var]):
+            if witness not in clause:
+                break  # past the witness clauses
+            satisfied = False
+            for lit in clause:
+                if lit == witness:
+                    continue
+                if model[lit >> 1] ^ (lit & 1) == 1:
+                    satisfied = True
+                    break
+            if not satisfied:
+                value = 1 - (witness & 1)
+                break
+        model[var] = value
+    return model
+
+
 class Preprocessor:
     """One run of the simplification pipeline over a solver at root level.
 
@@ -106,7 +162,10 @@ class Preprocessor:
     working set with occurrence lists, simplified, and the solver's
     watch structures are rebuilt from the survivors.  Learned clauses
     are kept unless they mention an eliminated variable (they are
-    consequences, so dropping them is always sound).
+    consequences, so dropping them is always sound).  Each eliminated
+    variable leaves one flat record in ``solver._elim_clauses`` (see
+    :func:`stored_clauses`) and its witness literal on
+    ``solver._reconstruction``.
     """
 
     def __init__(self, solver):
@@ -140,6 +199,16 @@ class Preprocessor:
         if solver._propagate() is not None:
             solver._unsat = True
             return False
+        # Entries of variables restored since the last run are stale.
+        # Variables are eliminated only inside a run, so this leaves one
+        # entry per eliminated variable, and the run appends one more
+        # per variable it eliminates.
+        eliminated = solver._eliminated
+        solver._reconstruction = [
+            witness
+            for witness in solver._reconstruction
+            if witness >> 1 in eliminated
+        ]
         try:
             self._collect()
             self._flush_units()
@@ -458,27 +527,27 @@ class Preprocessor:
     ) -> None:
         """Remove ``var``'s clauses; record restore + reconstruction data.
 
-        The reconstruction stack gets the clauses containing the witness
-        literal: replayed in reverse, "make the witness true iff one of
-        its clauses is otherwise unsatisfied" re-derives a value for the
-        variable consistent with every clause removed here (the clauses
-        of the opposite polarity are covered by the resolvents, which
-        stay in the formula — the NiVER soundness argument).
+        The removed clauses go into one flat record, the ones containing
+        the witness literal first.  Replayed in reverse, "make the
+        witness true iff one of its clauses is otherwise unsatisfied"
+        re-derives a value for the variable consistent with every clause
+        removed here (the clauses of the opposite polarity are covered
+        by the resolvents, which stay in the formula — the NiVER
+        soundness argument).
         """
         solver = self.solver
-        block = []
-        others = []
-        for idx in witness_idxs:
-            block.append(tuple(self.clauses[idx]))
+        record = []
+        for idx in witness_idxs + other_idxs:
+            clause = self.clauses[idx]
+            record.append(len(clause))
+            record.extend(clause)
             self._remove_clause(idx)
-        for idx in other_idxs:
-            others.append(tuple(self.clauses[idx]))
-            self._remove_clause(idx)
-        # Tuples: both stores are read-only and live as long as the
-        # solver, so the cycle collector should not keep rescanning them.
-        block = tuple(block)
-        solver._reconstruction.append((witness, block))
-        solver._elim_clauses[var] = block + tuple(others)
+        # Push the first clause's own int object for the witness: the
+        # solver keeps one object per literal value.
+        solver._reconstruction.append(
+            record[record.index(witness, 1, 1 + record[0])]
+        )
+        solver._elim_clauses[var] = tuple(record)
         solver._eliminated.add(var)
 
     # ------------------------------------------------------------------

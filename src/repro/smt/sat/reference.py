@@ -22,7 +22,9 @@ from .preprocess import (
     INPROCESS_MIN_UNITS,
     MIN_CLAUSES,
     Preprocessor,
+    extend_model,
     root_simplify,
+    stored_clauses,
 )
 from .solver import _UNDEF, _luby_sequence, _VarOrder
 
@@ -60,8 +62,8 @@ class ReferenceSatSolver:
         self.preprocess_enabled = False
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
-        self._elim_clauses: Dict[int, List[list]] = {}
-        self._reconstruction: List[tuple] = []
+        self._elim_clauses: Dict[int, Tuple[int, ...]] = {}
+        self._reconstruction: List[int] = []
         self._model: Optional[List[int]] = None
         self._pp_clause_mark = 0
         self._last_root_size = 0
@@ -241,7 +243,7 @@ class ReferenceSatSolver:
             self._eliminated.discard(v)
             self.pp_restored_vars += 1
             self._order.push(v)
-            for clause in self._elim_clauses.pop(v, ()):
+            for clause in stored_clauses(self._elim_clauses.pop(v, ())):
                 for lit in clause:
                     other = lit >> 1
                     if other in self._eliminated:
@@ -250,7 +252,7 @@ class ReferenceSatSolver:
         if not self._unsat and self._propagate() is not None:
             self._unsat = True
 
-    def _add_internal(self, lits: List[int]) -> None:
+    def _add_internal(self, lits: Sequence[int]) -> None:
         if self._unsat:
             return
         out = []
@@ -297,31 +299,6 @@ class ReferenceSatSolver:
         self._pp_clause_mark = len(self._clauses)
         self._last_root_size = len(self._trail)
         return ok
-
-    def _extend_model(self) -> List[int]:
-        model = list(self._assign)
-        extended = set()
-        for witness, block in reversed(self._reconstruction):
-            var = witness >> 1
-            if var not in self._eliminated:
-                continue  # restored since; search assigned it directly
-            if var in extended:
-                continue  # stale entry from before an intervening restore
-            extended.add(var)
-            value = witness & 1  # witness-false default
-            for clause in block:
-                satisfied = False
-                for lit in clause:
-                    if lit == witness:
-                        continue
-                    if model[lit >> 1] ^ (lit & 1) == 1:
-                        satisfied = True
-                        break
-                if not satisfied:
-                    value = 1 - (witness & 1)
-                    break
-            model[var] = value
-        return model
 
     # ------------------------------------------------------------------
     # Assignment plumbing
@@ -708,7 +685,7 @@ class ReferenceSatSolver:
                 continue
             var = self._pick_branch_var()
             if var == _UNDEF:
-                self._model = self._extend_model()
+                self._model = extend_model(self)
                 return True
             self.decisions += 1
             self._trail_lim.append(len(self._trail))

@@ -22,6 +22,9 @@ flat-buffer style of modern C solvers, adapted to CPython:
   A slot no clause has used yet holds the shared empty tuple and turns
   into a list on its first append (most literals never get a watch).
 * **Reasons** — a flat per-variable list of clause refs.
+* **Literal objects** — every literal value is one shared int object
+  (``_LITS``), so an arena slot, watch blocker or stored clause costs a
+  pointer, not a 32-byte int of its own.
 
 Deleted learnt clauses leave gaps in the arena; a compacting GC remaps all
 live refs *in place* (watch order preserved) once the waste crosses a
@@ -45,13 +48,16 @@ the accessor contract (:meth:`clause_lists` / :meth:`learnt_lists` /
 
 from __future__ import annotations
 
+import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .preprocess import (
     INPROCESS_MIN_UNITS,
     MIN_CLAUSES,
     Preprocessor,
+    extend_model,
     root_simplify,
+    stored_clauses,
 )
 
 __all__ = ["SatSolver"]
@@ -62,6 +68,21 @@ _NO_REASON = -1
 # Compact the arena once this many ints are dead *and* they exceed half
 # the arena (amortizes the remap over real fragmentation only).
 _GC_MIN_WASTE = 16384
+
+# One shared int object per literal value: ``_LITS[i] == i``.  CPython
+# caches only ints up to 256, so without it every literal occurrence in
+# an arena or store would be its own 32-byte object.  A literal is
+# taken from this table where it is computed and can be stored: an
+# added clause, a learnt clause's asserting literal, and the false
+# literal propagation moves within a clause.  Everything else copies
+# objects already stored.  (Decision and assumption literals are never
+# stored: conflict analysis reorders only implied literals into their
+# reason clause.)  Process-wide, so a daemon's many encodings share
+# one copy, and grow-only: ``ensure_vars`` grows it under the lock, and
+# readers need none (an index below the length they rely on is never
+# rewritten).
+_LITS: List[int] = []
+_LITS_LOCK = threading.Lock()
 
 
 class _VarOrder:
@@ -178,7 +199,13 @@ def _luby_sequence(x: int) -> int:
 
 
 class SatSolver:
-    """CDCL solver over variables numbered from 1 (DIMACS convention)."""
+    """CDCL solver over variables numbered from 1 (DIMACS convention).
+
+    Every literal it stores is the shared object from ``_LITS``.  The
+    preprocessor leaves one flat record per eliminated variable in
+    ``_elim_clauses`` and its witness literal on ``_reconstruction``
+    (read through :func:`.preprocess.stored_clauses`).
+    """
 
     def __init__(self) -> None:
         self.num_vars = 0
@@ -217,13 +244,14 @@ class SatSolver:
         self.preprocess_enabled = False
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
-        # Per eliminated var: its original clauses, for restore-on-reuse.
-        # Both stores are written once and only read, so they hold
-        # tuples, which the cycle collector stops tracking.
-        self._elim_clauses: Dict[int, Tuple[Tuple[int, ...], ...]] = {}
-        # Blocks of (witness_lit, clauses) replayed in reverse to extend
-        # a model over eliminated variables.
-        self._reconstruction: List[tuple] = []
+        # Per eliminated var: its original clauses as one flat record
+        # ``(len, lits..., len, lits...)``, witness clauses first; see
+        # preprocess.stored_clauses.  Write-once tuples of ints, which
+        # the cycle collector stops tracking.
+        self._elim_clauses: Dict[int, Tuple[int, ...]] = {}
+        # Witness literals in elimination order, replayed in reverse to
+        # extend a model over eliminated variables.
+        self._reconstruction: List[int] = []
         # Extended model snapshot from the last SAT answer (per var 0/1),
         # or None when the last answer was not SAT.
         self._model: Optional[List[int]] = None
@@ -296,6 +324,9 @@ class SatSolver:
             return
         count = n - start
         self.num_vars = n
+        if len(_LITS) < 2 * n:
+            with _LITS_LOCK:
+                _LITS.extend(range(len(_LITS), 2 * n))
         self._assign.extend([_UNDEF] * count)
         self._level.extend([0] * count)
         self._reason.extend([_NO_REASON] * count)
@@ -346,7 +377,7 @@ class SatSolver:
             var = abs(dl)
             if var > self.num_vars:
                 self.ensure_vars(var)
-            lit = (var - 1) * 2 + (0 if dl > 0 else 1)
+            lit = _LITS[(var - 1) * 2 + (0 if dl > 0 else 1)]
             if lit ^ 1 in seen:
                 return True  # tautology
             if lit in seen:
@@ -475,7 +506,7 @@ class SatSolver:
             self._eliminated.discard(v)
             self.pp_restored_vars += 1
             self._order.push(v)
-            for clause in self._elim_clauses.pop(v, ()):
+            for clause in stored_clauses(self._elim_clauses.pop(v, ())):
                 for lit in clause:
                     other = lit >> 1
                     if other in self._eliminated:
@@ -484,7 +515,7 @@ class SatSolver:
         if not self._unsat and self._propagate() is not None:
             self._unsat = True
 
-    def _add_internal(self, lits: List[int]) -> None:
+    def _add_internal(self, lits: Sequence[int]) -> None:
         """Root-level add of a clause in internal literals (restore path).
 
         Mirrors :meth:`add_clause` minus the DIMACS conversion and
@@ -543,47 +574,6 @@ class SatSolver:
         self._pp_clause_mark = len(self._clause_refs)
         self._last_root_size = len(self._trail)
         return ok
-
-    def _extend_model(self) -> List[int]:
-        """Snapshot the assignment, extended over eliminated variables.
-
-        Replays the reconstruction stack in reverse: each block's
-        witness defaults to false and flips to true iff one of the
-        clauses removed at its elimination is otherwise unsatisfied —
-        exactly the NiVER model-extension argument.  Non-witness
-        literals in a block's clauses are guaranteed final when the
-        block is processed (their own eliminations, if any, are deeper
-        in the stack).
-
-        ``_restore`` does not scrub a variable's old entries off the
-        stack, so a restore-then-re-eliminate cycle leaves stale older
-        entries below the live one; only the newest entry per variable
-        (the first met in the reversed walk) reflects the clause set at
-        its latest elimination, so later duplicates are skipped.
-        """
-        model = list(self._assign)
-        extended = set()
-        for witness, block in reversed(self._reconstruction):
-            var = witness >> 1
-            if var not in self._eliminated:
-                continue  # restored since; search assigned it directly
-            if var in extended:
-                continue  # stale entry from before an intervening restore
-            extended.add(var)
-            value = witness & 1  # witness-false default
-            for clause in block:
-                satisfied = False
-                for lit in clause:
-                    if lit == witness:
-                        continue
-                    if model[lit >> 1] ^ (lit & 1) == 1:
-                        satisfied = True
-                        break
-                if not satisfied:
-                    value = 1 - (witness & 1)
-                    break
-            model[var] = value
-        return model
 
     # ------------------------------------------------------------------
     # Assignment plumbing
@@ -670,6 +660,7 @@ class SatSolver:
         level = self._level
         reason = self._reason
         arena = self._arena
+        lits = _LITS
         qhead = self._qhead
         while qhead < len(trail):
             lit = trail[qhead]
@@ -693,7 +684,7 @@ class SatSolver:
                         return brefs[p]
             # ``lit`` became true, so the in-clause literal ``lit ^ 1``
             # became false; clauses watching it live in watches[lit].
-            false_lit = lit ^ 1
+            false_lit = lits[lit ^ 1]  # stored on the swap/new-watch paths
             refs = watch_refs[lit]
             blks = watch_blk[lit]
             i = 0
@@ -807,7 +798,7 @@ class SatSolver:
                         arena[k] = arena[reason]
                         arena[reason] = lit
                         break
-        learnt[0] = lit ^ 1
+        learnt[0] = _LITS[lit ^ 1]
         # Mark remaining literals for minimization bookkeeping.
         for q in learnt[1:]:
             seen[q >> 1] = 1
@@ -1061,7 +1052,7 @@ class SatSolver:
                 continue
             var = self._pick_branch_var()
             if var == _UNDEF:
-                self._model = self._extend_model()
+                self._model = extend_model(self)
                 return True
             self.decisions += 1
             self._trail_lim.append(len(self._trail))

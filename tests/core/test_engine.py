@@ -332,6 +332,42 @@ class TestEncodingCache:
         assert first.superseded
         assert cache.get(key).options.max_failures == 1
 
+    @pytest.mark.parametrize("source", ["fattree", "cloud"])
+    def test_size_estimate_tracks_measured_footprint(self, source):
+        """``cache_size`` is within 1.5x of the bytes a warm group
+        frees when it is dropped, so ``--cache-bytes`` bounds roughly
+        the memory it says."""
+        import gc
+        import tracemalloc
+
+        from repro.core.engine import GroupEncoding
+        from repro.gen import build_cloud_network, build_fattree
+        from repro.net import ip as iplib
+
+        if source == "fattree":
+            tree = build_fattree(2)
+            network, prefix = tree.network, tree.tor_subnet(tree.tors[0])
+        else:
+            cloud = build_cloud_network(40)
+            network, prefix = cloud.network, cloud.management_prefixes[0]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            group = GroupEncoding(network, EncoderOptions(max_failures=1),
+                                  dst_prefix=iplib.parse_prefix(prefix))
+            group.solve_one(BatchQuery(
+                P.Reachability(sources="all", dest_prefix_text=prefix)))
+            estimate = group.cache_size()
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            del group
+            gc.collect()
+            freed = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert freed > 1_000_000
+        assert freed / 1.5 <= estimate <= freed * 1.5
+
 
 class TestStats:
     def test_per_query_stats_populated(self):

@@ -12,6 +12,7 @@ import random
 from repro.core import EncoderOptions, Verifier, properties as P
 from repro.gen import build_fattree
 from repro.smt import SAT, Solver, UNSAT, bool_var
+from repro.smt.sat.reference import ReferenceSatSolver
 from repro.smt.sat.solver import SatSolver
 from repro.smt.terms import and_, not_, or_
 
@@ -104,29 +105,32 @@ class TestReconstructedModels:
             assert _satisfies(solver, clause), clause
 
     def test_restore_then_reeliminate_uses_newest_entry(self):
-        """``_restore`` leaves a variable's old reconstruction entries
-        on the stack; after the variable comes back via ``add_clause``
-        and a later simplify re-eliminates it, model extension must
-        answer from the newest entry.  Regression: the stale older
-        entry was replayed last and overwrote the correct value,
-        yielding a model that violated asserted clauses."""
-        solver = SatSolver()
-        solver.preprocess_enabled = True
-        solver.add_clause([1, 2])
-        assert solver.simplify(force=True)   # pure-eliminates v1
-        assert 0 in solver._eliminated
-        solver.add_clause([1, 4])            # restores v1
-        assert 0 not in solver._eliminated
-        solver.add_clause([2])
-        assert solver.simplify(force=True)   # re-eliminates v1
-        assert 0 in solver._eliminated
-        solver.add_clause([-4])
-        assert solver.solve() is True
-        # (1 v 4) with v4 forced False leaves only v1 to satisfy it.
-        assert solver.model_value(4) is False
-        assert solver.model_value(1) is True
-        for clause in ([1, 2], [1, 4], [2], [-4]):
-            assert _satisfies(solver, clause), clause
+        """A variable that comes back via ``add_clause`` and is
+        re-eliminated by a later simplify keeps exactly one
+        reconstruction entry, and model extension answers from its
+        newest clauses.  Regressions: the stale older entry was once
+        replayed last and overwrote the correct value, yielding a model
+        that violated asserted clauses; later, stale entries stayed on
+        the stack for the life of the solver."""
+        for cls in (SatSolver, ReferenceSatSolver):
+            solver = cls()
+            solver.preprocess_enabled = True
+            solver.add_clause([1, 2])
+            assert solver.simplify(force=True)   # pure-eliminates v1
+            assert 0 in solver._eliminated
+            solver.add_clause([1, 4])            # restores v1
+            assert 0 not in solver._eliminated
+            solver.add_clause([2])
+            assert solver.simplify(force=True)   # re-eliminates v1
+            assert 0 in solver._eliminated
+            assert [w >> 1 for w in solver._reconstruction] == [0]
+            solver.add_clause([-4])
+            assert solver.solve() is True
+            # (1 v 4) with v4 forced False leaves only v1 to satisfy it.
+            assert solver.model_value(4) is False
+            assert solver.model_value(1) is True
+            for clause in ([1, 2], [1, 4], [2], [-4]):
+                assert _satisfies(solver, clause), (cls, clause)
 
     def test_model_survives_clause_adds_after_sat(self):
         """The model snapshot answers for the *last* SAT solve even

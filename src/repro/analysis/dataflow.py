@@ -423,6 +423,21 @@ def _ospf_peers(network: Network) -> Dict[str, Set[str]]:
 
 
 def analyze_dataflow(network: Network) -> Dataflow:
+    """The network's dataflow summaries, computed once per ``Network``.
+
+    No code edits a ``Network`` once it is built (a changed config is
+    a new snapshot, hence a new ``Network``), so the fixpoint is kept
+    on the network and lives as long as it does: a cone computed per
+    query, or per verdict replay, reads the same summaries.  Callers
+    must not mutate the result.
+    """
+    df = getattr(network, "_dataflow", None)
+    if df is None:
+        df = network._dataflow = _fixpoint(network)
+    return df
+
+
+def _fixpoint(network: Network) -> Dataflow:
     """Propagate abstract prefix sets to a fixpoint over the network.
 
     Monotone on a finite lattice (unions widen to ANY past

@@ -50,6 +50,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, Optional, Sequence
 
+from .lits import _LITS
+
 __all__ = [
     "INPROCESS_MIN_UNITS",
     "MIN_CLAUSES",
@@ -158,18 +160,22 @@ def extend_model(solver) -> List[int]:
 class Preprocessor:
     """One run of the simplification pipeline over a solver at root level.
 
-    Operates detached: the solver's problem clauses are copied into a
-    working set with occurrence lists, simplified, and the solver's
-    watch structures are rebuilt from the survivors.  Learned clauses
-    are kept unless they mention an eliminated variable (they are
-    consequences, so dropping them is always sound).  Each eliminated
-    variable leaves one flat record in ``solver._elim_clauses`` (see
-    :func:`stored_clauses`) and its witness literal on
-    ``solver._reconstruction``.
+    Operates detached: the problem clauses are held in a working set
+    with occurrence lists, simplified, and the solver's watch
+    structures are rebuilt from the survivors.  The working set comes
+    either from the solver's clause database (copied out) or, for a
+    solver that holds no clauses yet, straight from the DIMACS clauses
+    of its first load (:meth:`load`), so that load never builds an
+    arena only to throw it away.  Learned clauses are kept unless they
+    mention an eliminated variable (they are consequences, so dropping
+    them is always sound).  Each eliminated variable leaves one flat
+    record in ``solver._elim_clauses`` (see :func:`stored_clauses`) and
+    its witness literal on ``solver._reconstruction``.
     """
 
     def __init__(self, solver):
         self.solver = solver
+        self.loaded = False  # working set built by load()
         self.clauses: List[Optional[List[int]]] = []
         self.occ: List[List[int]] = []
         self.sig: List[int] = []
@@ -192,13 +198,74 @@ class Preprocessor:
 
     # ------------------------------------------------------------------
 
-    def run(self) -> bool:
-        """Simplify; returns False iff the formula is now known UNSAT."""
+    def load(self, dimacs: List[Optional[List[int]]]) -> None:
+        """Turn the first load of a solver into the working set.
+
+        The solver must hold no clauses yet.  Each DIMACS clause gets
+        the rules of ``add_clause``: shared literal objects, a repeated
+        literal kept once, tautologies and root-true clauses dropped,
+        root-false literals deleted, a unit asserted at the root and an
+        empty clause making the solver unsatisfiable.  Units are not
+        propagated here (there are no watches yet): :meth:`run`
+        propagates them over the lists.  Each entry of
+        ``dimacs`` is set to None once converted, so the caller's buffer
+        frees as the working set grows.
+        """
         solver = self.solver
-        solver._cancel_until(0)
-        if solver._propagate() is not None:
-            solver._unsat = True
-            return False
+        assign = solver._assign
+        clauses = self.clauses
+        self.loaded = True
+        for i, dimacs_clause in enumerate(dimacs):
+            dimacs[i] = None
+            if solver._unsat:
+                continue
+            lits = []
+            seen = set()
+            for dl in dimacs_clause:
+                var = abs(dl)
+                if var > solver.num_vars:
+                    solver.ensure_vars(var)
+                lit = _LITS[(var - 1) * 2 + (0 if dl > 0 else 1)]
+                if lit ^ 1 in seen:
+                    break  # tautology
+                if lit in seen:
+                    continue
+                value = assign[var - 1]
+                if value != _UNDEF:
+                    if value ^ (lit & 1) == 1:
+                        break  # true at the root
+                    continue  # false at the root: drop the literal
+                seen.add(lit)
+                lits.append(lit)
+            else:
+                if len(lits) > 1:
+                    clauses.append(lits)
+                elif not lits:
+                    solver._unsat = True
+                else:
+                    self._assert(lits[0])
+
+    def run(self) -> bool:
+        """Simplify; returns False iff the formula is now known UNSAT.
+
+        Counts as one of the solver's preprocessing runs and adds this
+        run's tallies to its ``pp_*`` counters.
+        """
+        ok = self._simplify()
+        solver = self.solver
+        solver.pp_runs += 1
+        for key, value in self.stats.items():
+            setattr(solver, "pp_" + key, getattr(solver, "pp_" + key) + value)
+        solver._last_root_size = len(solver._trail)
+        return ok
+
+    def _simplify(self) -> bool:
+        solver = self.solver
+        if not self.loaded:
+            solver._cancel_until(0)
+            if solver._propagate() is not None:
+                solver._unsat = True
+                return False
         # Entries of variables restored since the last run are stale.
         # Variables are eliminated only inside a run, so this leaves one
         # entry per eliminated variable, and the run appends one more
@@ -210,10 +277,14 @@ class Preprocessor:
             if witness >> 1 in eliminated
         ]
         try:
-            self._collect()
+            if self.loaded:
+                self._propagate_loaded()
+            else:
+                self._collect()
+            self._index()
             self._flush_units()
             self.dirty = list(range(len(self.clauses)))
-            self.touched = set(range(solver.num_vars))
+            self.touched = set(_LITS[: solver.num_vars])
             for _ in range(MAX_ROUNDS):
                 changed = self._subsumption_pass()
                 changed |= self._elimination_pass()
@@ -237,20 +308,23 @@ class Preprocessor:
             return _UNDEF
         return value ^ (lit & 1)
 
+    def _reduced(self, clause: List[int]) -> Optional[List[int]]:
+        """``clause`` less its root-false literals; None if root-true."""
+        out = []
+        for lit in clause:
+            value = self._value(lit)
+            if value == 1:
+                return None
+            if value == _UNDEF:
+                out.append(lit)
+        return out
+
     def _collect(self) -> None:
         """Copy live problem clauses, reduced against root assignments."""
         clauses: List[Optional[List[int]]] = []
         for clause in self.solver.clause_lists():
-            out = []
-            satisfied = False
-            for lit in clause:
-                value = self._value(lit)
-                if value == 1:
-                    satisfied = True
-                    break
-                if value == _UNDEF:
-                    out.append(lit)
-            if satisfied:
+            out = self._reduced(clause)
+            if out is None:
                 self.stats["removed_clauses"] += 1
                 continue
             if not out:
@@ -261,12 +335,62 @@ class Preprocessor:
                 continue
             clauses.append(out)
         self.clauses = clauses
-        self.occ = [[] for _ in range(2 * self.solver.num_vars)]
-        self.sig = []
-        for idx, clause in enumerate(clauses):
+
+    def _propagate_loaded(self) -> None:
+        """Propagate a loaded working set's root units, then compact it.
+
+        The reduction :meth:`_collect` makes against the arena's already
+        propagated root: root-true clauses go (tallied as removed),
+        root-false literals are deleted, and a clause left with one
+        literal asserts it in turn.  A throwaway literal index finds the
+        clauses.  The occurrence lists are built only after compaction:
+        built before, they would keep entries of removed and shortened
+        clauses, whose counts reorder the elimination candidates.
+        """
+        clauses = self.clauses
+        units = self.units
+        if units:
+            index: List[List[int]] = [
+                [] for _ in range(2 * self.solver.num_vars)
+            ]
+            for idx, clause in enumerate(clauses):
+                for lit in clause:
+                    index[lit].append(idx)
+            while units:
+                lit = units.pop()
+                for idx in index[lit]:
+                    if clauses[idx] is not None:
+                        clauses[idx] = None
+                        self.stats["removed_clauses"] += 1
+                for idx in index[lit ^ 1]:
+                    clause = clauses[idx]
+                    if clause is None:
+                        continue
+                    out = self._reduced(clause)
+                    if out is not None and len(out) > 1:
+                        clauses[idx] = out
+                        continue
+                    clauses[idx] = None
+                    self.stats["removed_clauses"] += 1
+                    if out is not None:
+                        if not out:
+                            raise _Unsat
+                        self._assert(out[0])
+        self.clauses = [clause for clause in clauses if clause is not None]
+
+    def _index(self) -> None:
+        """Occurrence lists and signatures of the working set."""
+        occ: List[List[int]] = [[] for _ in range(2 * self.solver.num_vars)]
+        for idx, clause in enumerate(self.clauses):
             for lit in clause:
-                self.occ[lit].append(idx)
-            self.sig.append(_signature(clause))
+                occ[lit].append(idx)
+        self.occ = occ
+        self.sig = [_signature(clause) for clause in self.clauses]
+
+    def _assert(self, lit: int) -> None:
+        """Assert an unassigned ``lit`` at the root and queue it."""
+        self.solver._enqueue(lit, None)
+        self.units.append(lit)
 
     def _fix(self, lit: int) -> None:
         """Assert ``lit`` at the root; queued for occurrence propagation."""
@@ -275,9 +399,8 @@ class Preprocessor:
             return
         if value == 0:
             raise _Unsat
-        self.solver._enqueue(lit, None)
+        self._assert(lit)
         self.stats["units"] += 1
-        self.units.append(lit)
 
     def _flush_units(self) -> bool:
         """Propagate queued root units through the occurrence lists."""
@@ -536,6 +659,7 @@ class Preprocessor:
         soundness argument).
         """
         solver = self.solver
+        var = _LITS[var]  # the key outlives the run: one shared object
         record = []
         for idx in witness_idxs + other_idxs:
             clause = self.clauses[idx]
@@ -564,6 +688,13 @@ class Preprocessor:
         """
         solver = self.solver
         problem = [c for c in self.clauses if c is not None]
+        # Release the working set's indexes before the new arena is
+        # built; install_clauses then frees each list as it copies it.
+        self.clauses = []
+        self.occ = []
+        self.sig = []
+        self.dirty = []
+        self.touched = set()
         eliminated = solver._eliminated
         assign = solver._assign
         learnts = []

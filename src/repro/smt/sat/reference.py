@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .lits import ensure_lits
 from .preprocess import (
     INPROCESS_MIN_UNITS,
     MIN_CLAUSES,
@@ -65,7 +66,6 @@ class ReferenceSatSolver:
         self._elim_clauses: Dict[int, Tuple[int, ...]] = {}
         self._reconstruction: List[int] = []
         self._model: Optional[List[int]] = None
-        self._pp_clause_mark = 0
         self._last_root_size = 0
         # Statistics (exposed for benchmarks and tests).
         self.conflicts = 0
@@ -117,6 +117,7 @@ class ReferenceSatSolver:
 
     def ensure_vars(self, n: int) -> None:
         """Grow the variable pool so DIMACS vars ``1..n`` are usable."""
+        ensure_lits(n)
         while self.num_vars < n:
             self.num_vars += 1
             self._assign.append(_UNDEF)
@@ -273,32 +274,19 @@ class ReferenceSatSolver:
         self._attach(out)
         self._clauses.append(out)
 
-    def simplify(self, force: bool = False) -> bool:
-        """Run the preprocessing pipeline at the root level."""
+    def simplify(self, force: bool = False,
+                 loaded: Optional[Preprocessor] = None) -> bool:
+        """Run the preprocessing pipeline at the root level, once."""
         if self._unsat:
             return False
+        if loaded is not None:
+            return loaded.run()
         if not self._clauses and not self._learnts:
             return True
-        if not force:
-            if len(self._clauses) < MIN_CLAUSES:
-                return True
-            grown = len(self._clauses) - self._pp_clause_mark
-            if (self.pp_runs
-                    and grown < max(256, self._pp_clause_mark // 8)):
-                return True
-        pre = Preprocessor(self)
-        ok = pre.run()
-        self.pp_runs += 1
-        self.pp_units += pre.stats["units"]
-        self.pp_pure_literals += pre.stats["pure_literals"]
-        self.pp_subsumed += pre.stats["subsumed"]
-        self.pp_strengthened += pre.stats["strengthened"]
-        self.pp_eliminated_vars += pre.stats["eliminated_vars"]
-        self.pp_resolvents += pre.stats["resolvents"]
-        self.pp_removed_clauses += pre.stats["removed_clauses"]
-        self._pp_clause_mark = len(self._clauses)
-        self._last_root_size = len(self._trail)
-        return ok
+        if not force and (self.pp_runs
+                          or len(self._clauses) < MIN_CLAUSES):
+            return True
+        return Preprocessor(self).run()
 
     # ------------------------------------------------------------------
     # Assignment plumbing

@@ -23,8 +23,8 @@ flat-buffer style of modern C solvers, adapted to CPython:
   into a list on its first append (most literals never get a watch).
 * **Reasons** — a flat per-variable list of clause refs.
 * **Literal objects** — every literal value is one shared int object
-  (``_LITS``), so an arena slot, watch blocker or stored clause costs a
-  pointer, not a 32-byte int of its own.
+  (``_LITS``, see :mod:`.lits`), so an arena slot, watch blocker or
+  stored clause costs a pointer, not a 32-byte int of its own.
 
 Deleted learnt clauses leave gaps in the arena; a compacting GC remaps all
 live refs *in place* (watch order preserved) once the waste crosses a
@@ -39,18 +39,21 @@ The solver answers ``True`` (satisfiable), ``False`` (unsatisfiable) or
 and incremental clause addition between calls.
 
 With ``preprocess_enabled`` (off by default at this layer; the SMT facade
-turns it on), :meth:`solve` first runs the SatELite-style simplification
-pipeline in :mod:`.preprocess` under the frozen-variable protocol; the
-preprocessor reads and replaces the clause database exclusively through
-the accessor contract (:meth:`clause_lists` / :meth:`learnt_lists` /
-:meth:`install_clauses`), never through the raw arena.
+turns it on), :meth:`solve` runs the SatELite-style simplification
+pipeline in :mod:`.preprocess` once, under the frozen-variable protocol;
+the preprocessor reads and replaces the clause database exclusively
+through the accessor contract (:meth:`clause_lists` /
+:meth:`learnt_lists` / :meth:`install_clauses`), never through the raw
+arena.  A first load may bypass the arena entirely:
+:meth:`.preprocess.Preprocessor.load` turns DIMACS clauses into the
+working set and :meth:`simplify` installs the result.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
+from .lits import _LITS, ensure_lits
 from .preprocess import (
     INPROCESS_MIN_UNITS,
     MIN_CLAUSES,
@@ -68,21 +71,6 @@ _NO_REASON = -1
 # Compact the arena once this many ints are dead *and* they exceed half
 # the arena (amortizes the remap over real fragmentation only).
 _GC_MIN_WASTE = 16384
-
-# One shared int object per literal value: ``_LITS[i] == i``.  CPython
-# caches only ints up to 256, so without it every literal occurrence in
-# an arena or store would be its own 32-byte object.  A literal is
-# taken from this table where it is computed and can be stored: an
-# added clause, a learnt clause's asserting literal, and the false
-# literal propagation moves within a clause.  Everything else copies
-# objects already stored.  (Decision and assumption literals are never
-# stored: conflict analysis reorders only implied literals into their
-# reason clause.)  Process-wide, so a daemon's many encodings share
-# one copy, and grow-only: ``ensure_vars`` grows it under the lock, and
-# readers need none (an index below the length they rely on is never
-# rewritten).
-_LITS: List[int] = []
-_LITS_LOCK = threading.Lock()
 
 
 class _VarOrder:
@@ -255,7 +243,6 @@ class SatSolver:
         # Extended model snapshot from the last SAT answer (per var 0/1),
         # or None when the last answer was not SAT.
         self._model: Optional[List[int]] = None
-        self._pp_clause_mark = 0              # clause count at last run
         self._last_root_size = 0              # root trail size at last run
         # Statistics (exposed for benchmarks and tests).
         self.conflicts = 0
@@ -324,9 +311,7 @@ class SatSolver:
             return
         count = n - start
         self.num_vars = n
-        if len(_LITS) < 2 * n:
-            with _LITS_LOCK:
-                _LITS.extend(range(len(_LITS), 2 * n))
+        ensure_lits(n)
         self._assign.extend([_UNDEF] * count)
         self._level.extend([0] * count)
         self._reason.extend([_NO_REASON] * count)
@@ -443,7 +428,7 @@ class SatSolver:
         return [(self.clause_lits(ref), act.get(ref))
                 for ref in self._learnt_refs]
 
-    def install_clauses(self, problem: List[List[int]],
+    def install_clauses(self, problem: List[Optional[List[int]]],
                         learnts: List[Tuple[List[int], Optional[float]]]) -> None:
         """Replace the clause database wholesale and rebuild the watches.
 
@@ -452,7 +437,9 @@ class SatSolver:
         propagation state is cleared (``qhead`` back to 0, trail reasons
         dropped) so the caller's root trail re-propagates through the
         new structures.  Clause activities not carried in ``learnts``
-        are discarded.
+        are discarded.  Each entry of ``problem`` is set to None once
+        copied, so a caller holding no other reference to a clause list
+        frees it while the arena grows.
         """
         self._arena = [0]
         self._wasted = 0
@@ -464,7 +451,8 @@ class SatSolver:
         self._watch_blk = [()] * size
         self._bin_lits = [()] * size
         self._bin_refs = [()] * size
-        for lits in problem:
+        for i, lits in enumerate(problem):
+            problem[i] = None
             ref = self._alloc(lits)
             self._attach(ref)
             self._clause_refs.append(ref)
@@ -541,39 +529,28 @@ class SatSolver:
         self._attach(ref)
         self._clause_refs.append(ref)
 
-    def simplify(self, force: bool = False) -> bool:
-        """Run the preprocessing pipeline at the root level.
+    def simplify(self, force: bool = False,
+                 loaded: Optional[Preprocessor] = None) -> bool:
+        """Run the preprocessing pipeline at the root level, once.
 
-        Gated so incremental solving doesn't pay the (linear-ish) pass
-        on every call: runs on the first invocation and again once the
-        clause database has grown enough since the last run.  ``force``
-        bypasses the gate.  Returns False iff the formula is now known
-        unsatisfiable.
+        Unforced, it runs the first time the solver holds at least
+        ``MIN_CLAUSES`` problem clauses and never again, so incremental
+        solving pays for it once.  ``force`` bypasses the rule.
+        ``loaded`` is the working set of a first load of at least
+        ``MIN_CLAUSES`` clauses (:meth:`.preprocess.Preprocessor.load`):
+        it is preprocessed and installed.  Returns False iff the formula
+        is now known unsatisfiable.
         """
         if self._unsat:
             return False
+        if loaded is not None:
+            return loaded.run()
         if not self._clause_refs and not self._learnt_refs:
             return True
-        if not force:
-            if len(self._clause_refs) < MIN_CLAUSES:
-                return True
-            grown = len(self._clause_refs) - self._pp_clause_mark
-            if (self.pp_runs
-                    and grown < max(256, self._pp_clause_mark // 8)):
-                return True
-        pre = Preprocessor(self)
-        ok = pre.run()
-        self.pp_runs += 1
-        self.pp_units += pre.stats["units"]
-        self.pp_pure_literals += pre.stats["pure_literals"]
-        self.pp_subsumed += pre.stats["subsumed"]
-        self.pp_strengthened += pre.stats["strengthened"]
-        self.pp_eliminated_vars += pre.stats["eliminated_vars"]
-        self.pp_resolvents += pre.stats["resolvents"]
-        self.pp_removed_clauses += pre.stats["removed_clauses"]
-        self._pp_clause_mark = len(self._clause_refs)
-        self._last_root_size = len(self._trail)
-        return ok
+        if not force and (self.pp_runs
+                          or len(self._clause_refs) < MIN_CLAUSES):
+            return True
+        return Preprocessor(self).run()
 
     # ------------------------------------------------------------------
     # Assignment plumbing

@@ -25,6 +25,7 @@ from repro import obs
 from .bitblast import Blaster
 from .evaluator import evaluate
 from .sat import SatSolver
+from .sat.preprocess import MIN_CLAUSES, Preprocessor
 from .terms import Term
 from .tseitin import CnfBuilder
 
@@ -211,17 +212,17 @@ class Solver:
                     assumption_lits.append(lit)
             with obs.span("sat.load") as sp_load:
                 loaded_from = self._num_clauses_loaded
-                self._load_clauses()
+                loaded = self._load_clauses()
                 sp_load.set(clauses=self._num_clauses_loaded - loaded_from)
             if self.preprocess:
                 # Freeze everything the outside world may still
-                # reference, then run the (gated) simplification
+                # reference, then run the (once-only) simplification
                 # pipeline under its own span so per-technique
                 # reductions are attributable.
                 self._freeze_protected(assumption_lits)
                 with obs.span("sat.preprocess") as sp_pp:
                     before_pp = sat.stats()
-                    sat.simplify()
+                    sat.simplify(loaded=loaded)
                     self._record_preprocess(sp_pp, before_pp, sat.stats())
         progress = self.last_check_progress = []
         if self.progress_interval:
@@ -293,16 +294,32 @@ class Solver:
         out.update(self._sat.stats())
         return out
 
-    def _load_clauses(self) -> None:
-        """Hand the CNF buffer to the SAT core and drop it: the core's
-        arena is the only copy of a clause once it is loaded."""
+    def _load_clauses(self) -> Optional[Preprocessor]:
+        """Hand the CNF buffer to the SAT core and drop it.
+
+        The first load of a preprocessing solver, if it has at least
+        ``MIN_CLAUSES`` clauses, skips the arena: it becomes the
+        preprocessor's working set, returned for
+        :meth:`SatSolver.simplify` to preprocess and install once the
+        caller has frozen the assumption variables.  Every other load
+        goes clause by clause through ``add_clause``.  Either way a
+        clause's only copy is in the SAT core once it is loaded.
+        """
         cnf = self._cnf
-        add_clause = self._sat.add_clause
-        self._sat.ensure_vars(cnf.num_vars)
-        for clause in cnf.clauses:
-            add_clause(clause)
-        self._num_clauses_loaded += len(cnf.clauses)
+        sat = self._sat
+        sat.ensure_vars(cnf.num_vars)
+        clauses = cnf.clauses
         cnf.clauses = []
+        first = self._num_clauses_loaded == 0
+        self._num_clauses_loaded += len(clauses)
+        if self.preprocess and first and len(clauses) >= MIN_CLAUSES:
+            loaded = Preprocessor(sat)
+            loaded.load(clauses)
+            return loaded
+        add_clause = sat.add_clause
+        for clause in clauses:
+            add_clause(clause)
+        return None
 
     # ------------------------------------------------------------------
     # CNF preprocessing plumbing
@@ -350,16 +367,20 @@ class Solver:
         """Force one preprocessing run now; returns per-technique deltas.
 
         Loads any pending clauses, freezes the protected variables and
-        runs the pipeline unconditionally (bypassing the growth gate).
+        runs the pipeline unconditionally (bypassing the once rule).
         Used by benchmarks and tests to measure clause reduction without
-        a full :meth:`check`.
+        a full :meth:`check`.  ``live_clauses_before`` counts the
+        clauses the pipeline started from: the arena's, or a first
+        load's working set as converted.
         """
         sat = self._sat
         with _gc_paused(), obs.span("sat.preprocess", forced=True) as sp_pp:
-            self._load_clauses()
+            loaded = self._load_clauses()
             self._freeze_protected(())
             before = sat.stats()
-            sat.simplify(force=True)
+            if loaded is not None:
+                before["live_clauses"] = len(loaded.clauses)
+            sat.simplify(force=True, loaded=loaded)
             after = sat.stats()
             self._record_preprocess(sp_pp, before, after)
         delta = {key: after[key] - before[key]

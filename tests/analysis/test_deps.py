@@ -14,6 +14,7 @@ from dataclasses import fields
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro import obs
 from repro.analysis import analyze_configs
 from repro.analysis.deps import (
     _SEMANTIC_OPTION_FIELDS,
@@ -358,6 +359,26 @@ def test_set_metric_flips_loop_candidates_and_cache_key():
     edited = build(r2_text=R2 + extra)
     assert key_of(build(), loops) != key_of(edited, loops)
     assert key_of(build()) == key_of(edited)
+
+
+def test_dataflow_fixpoint_runs_once_per_network():
+    # The fixpoint lives as long as its Network: a second cone on the
+    # same network (a verdict replay) runs no iteration, and its keys
+    # equal those of a network that never had the fixpoint cached.
+    reach = P.Reachability(sources="all", dest_prefix_text=DST)
+    loops = P.NoForwardingLoops(dest_prefix_text=DST)
+    net = proj_build()
+    tracer = obs.Tracer()
+    with obs.use(tracer):
+        first = [key_of(net, prop) for prop in (reach, loops)]
+        counter = tracer.metrics.counter("dataflow.fixpoint_iterations")
+        iterations = counter.value
+        assert iterations > 0
+        again = [key_of(net, prop) for prop in (reach, loops)]
+        assert query_cone(net, reach) == query_cone(proj_build(), reach)
+        assert counter.value == 2 * iterations  # only the fresh build ran
+    assert again == first
+    assert first == [key_of(proj_build(), prop) for prop in (reach, loops)]
 
 
 @settings(max_examples=25, deadline=None)

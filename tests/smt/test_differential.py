@@ -96,6 +96,31 @@ class TestRawCnf:
         # A budget small enough to likely abort mid-search on both.
         solve_both(clauses, 140, True, budget=50)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_incremental_growth_preprocesses_once(self, seed):
+        """Clauses added between solves, far past the growth that used
+        to re-run preprocessing: both solvers stay identical, and
+        neither preprocesses a second time."""
+        rng = random.Random(seed)
+        solvers = [cls() for cls in (SatSolver, ReferenceSatSolver)]
+        for solver in solvers:
+            solver.preprocess_enabled = True
+            solver.ensure_vars(400)
+        batches = [random_cnf(rng, 400, ratio=1.5)]
+        batches += [random_cnf(rng, 400, ratio=0.5) for _ in range(4)]
+        for batch in batches:
+            assumptions = [rng.choice([-1, 1]) * rng.randint(1, 400)
+                           for _ in range(3)]
+            outcomes = []
+            for solver in solvers:
+                for clause in batch:
+                    solver.add_clause(clause)
+                outcomes.append(solver.solve(assumptions,
+                                             conflict_budget=20000))
+            assert outcomes[0] == outcomes[1]
+            assert solvers[0].stats() == solvers[1].stats()
+        assert solvers[0].stats()["pp_runs"] == 1
+
 
 class TestTseitinTerms:
     def _extract(self, terms):

@@ -5,8 +5,8 @@ drained (the SAT arena is the only copy of a clause), the clause count
 is unchanged, each eliminated variable's clauses are one flat tuple the
 cycle collector no longer tracks, the reconstruction stack is a list of
 ints, literals without clauses share one empty slot instead of owning
-four lists each, and every stored literal is the one shared int object
-for its value.
+four lists each, and every stored literal and eliminated-variable key is
+the one shared int object for its value.
 """
 
 import gc
@@ -107,6 +107,11 @@ def test_one_object_per_literal(checked_solver):
     assert len(stored) > 10000
     assert all(lit is _LITS[lit] for lit in stored)
     assert len({id(lit) for lit in stored}) <= 2 * sat.num_vars
+    # Eliminated variables are keys of the elimination store and members
+    # of the eliminated set for as long as the encoding lives.
+    keys = list(sat._elim_clauses) + list(sat._eliminated)
+    assert max(keys) > 256  # beyond CPython's small-int cache
+    assert all(var is _LITS[var] for var in keys)
 
 
 def test_concurrent_growth_keeps_the_table_exact():

@@ -59,7 +59,9 @@ from repro import Verifier
 from repro.core import BatchQuery, properties as P, verify_batch
 from repro.gen import build_fattree
 from repro.lang.writer import write_config
+from repro.net import ip as iplib
 from repro.net import load_network
+from repro.net.device import StaticRoute
 from repro.obs.promexport import parse_exposition
 
 from benchmarks.harness import out_path, print_table
@@ -178,6 +180,12 @@ def main() -> int:
 
     ft = build_fattree(args.pods)
     network = ft.network
+    # A discard route for an unrelated prefix makes the core a loop
+    # pivot.  Verdicts on the racks are unchanged, but the network no
+    # longer fixes any of them without an encoding, so every section
+    # below builds, caches and shares encodings.
+    discard = StaticRoute(iplib.parse_ip("192.0.2.0"), 24, drop=True)
+    network.device(ft.cores[0]).static_routes.append(discard)
     tors = ft.tors
     subnets = [(tor, ft.tor_subnet(tor)) for tor in tors]
     edited = tors[0]

@@ -262,8 +262,9 @@ def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--stats", action="store_true",
-                        help="print per-query vars/clauses/conflicts and "
-                             "encode/solve time split")
+                        help="print per-query decision method "
+                             "(sat/simulation), vars/clauses/conflicts "
+                             "and encode/solve time split")
     parser.add_argument("--trace", default=None, metavar="FILE",
                         help="record pipeline spans; .jsonl writes JSON "
                              "lines, anything else Chrome trace-event "
@@ -374,7 +375,8 @@ def _append_ledger(args, record) -> None:
 
 def _stats_line(result) -> str:
     """The per-query --stats detail line (same for verify and batch)."""
-    return (f"  vars={result.num_variables} "
+    return (f"  method={result.method} "
+            f"vars={result.num_variables} "
             f"clauses={result.num_clauses} "
             f"conflicts={result.conflicts} "
             f"encode={result.encode_seconds * 1e3:.1f}ms "
@@ -691,8 +693,9 @@ def _history_show(args, ledger) -> int:
         status = {True: "HOLDS", False: "VIOLATED", None: "UNKNOWN"}
         for q in record.queries:
             line = (f"  {q['name']}: {status[q['holds']]} "
-                    f"{q['seconds'] * 1e3:.1f}ms vars={q['vars']} "
-                    f"clauses={q['clauses']} conflicts={q['conflicts']}")
+                    f"{q['seconds'] * 1e3:.1f}ms method={q['method']} "
+                    f"vars={q['vars']} clauses={q['clauses']} "
+                    f"conflicts={q['conflicts']}")
             if q["cached"]:
                 line += " [cached]"
             print(line)

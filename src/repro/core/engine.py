@@ -40,6 +40,14 @@ against a single-network encoding: ``Verifier.verify`` is a batch of one
 each stable state the solver finds concretely and blocks its forwarding
 behind the query's activation literal, so the blocking clauses are as
 inert for later queries as instrumentation is.
+
+Before any of that, planning asks :func:`repro.analysis.stable.fixed_verdict`
+whether the network already fixes a query's verdict (a loop query with
+no pivot; reachability or black holes at k=0 on a prefix with one
+stable state).  Such a query is answered from the simulated state with
+``method="simulation"``; a group whose members are all answered so
+builds no encoding, touches no encoding cache and is never shipped to
+a worker.
 """
 
 from __future__ import annotations
@@ -64,7 +72,8 @@ from .verifier import (
     effective_max_failures,
 )
 
-__all__ = ["BatchQuery", "BatchEngine", "GroupEncoding", "verify_batch"]
+__all__ = ["BatchQuery", "BatchEngine", "GroupEncoding", "decide",
+           "verify_batch"]
 
 
 @dataclass(frozen=True)
@@ -321,6 +330,7 @@ class BatchEngine:
                                     property_name=query.name(),
                                     holds=hit["holds"],
                                     message=hit.get("message", ""),
+                                    method=hit.get("method", "sat"),
                                     cached=True)
                                 metrics.counter("diff.cache_hit").inc()
                                 continue
@@ -331,19 +341,30 @@ class BatchEngine:
                     k = effective_max_failures(query.prop,
                                                query.max_failures,
                                                self.options)
+                    query = replace(query, max_failures=k)
                     groups.setdefault(query.prop.dst_prefix(), []).append(
-                        (index, replace(query, max_failures=k)))
+                        (index, query))
+                    results[index] = decide(self.network, query, k, tracer)
             root.set(groups=len(groups))
             metrics.counter("batch.queries").inc(len(batch))
             metrics.counter("batch.groups").inc(len(groups))
 
-            if (self.workers > 1 and len(groups) > 1
+            # Groups keep only the members planning left undecided; a
+            # group with none left builds no encoding.
+            pending = {}
+            for key, members in groups.items():
+                todo = [(i, q) for i, q in members if results[i] is None]
+                if todo:
+                    pending[key] = todo
+                else:
+                    _decided_group_span(tracer, key, members)
+            if (self.workers > 1 and len(pending) > 1
                     and self.encoding_cache is None):
-                done = self._run_parallel(groups, results)
+                done = self._run_parallel(pending, results)
             else:
                 done = False
             if not done:
-                for key, members in groups.items():
+                for key, members in pending.items():
                     pairs, _ = self._run_group(key, members)
                     for index, result in pairs:
                         results[index] = result
@@ -356,6 +377,7 @@ class BatchEngine:
                         self.verdict_cache.put(ckey, {
                             "holds": result.holds,
                             "message": result.message,
+                            "method": result.method,
                         })
         return results  # type: ignore[return-value]
 
@@ -505,10 +527,49 @@ class BatchEngine:
         return True
 
 
+def decide(network: Network, query: BatchQuery, k: int,
+           tracer=None) -> Optional[VerificationResult]:
+    """The query's result when the network fixes its verdict without an
+    encoding (:func:`repro.analysis.stable.fixed_verdict`), else None.
+
+    ``k`` is the query's effective failure bound.  The check runs in a
+    ``sim.decide`` span, whose duration is a decided result's
+    ``seconds``; its encode and solve seconds, vars, clauses and
+    conflicts are all zero.
+    """
+    from repro.analysis.stable import fixed_verdict
+
+    tracer = tracer if tracer is not None else obs.active()
+    if not tracer.enabled:
+        tracer = obs.Tracer(lane="decide")
+    with tracer.span("sim.decide", query=query.name()) as sp:
+        decision = fixed_verdict(network, query.prop, k, query.assumptions)
+        sp.set(decided=decision is not None)
+    if decision is None:
+        return None
+    obs.metrics().counter("engine.simulation_decided").inc()
+    return VerificationResult(property_name=query.name(),
+                              holds=decision.holds,
+                              counterexample=decision.counterexample,
+                              message=decision.message,
+                              seconds=sp.duration, method="simulation")
+
+
 def _group_lane(dst_prefix: Optional[Tuple[int, int]], k: int) -> str:
     prefix = (iplib.format_prefix(*dst_prefix) if dst_prefix
               else "any-prefix")
     return f"group {prefix} k={k}"
+
+
+def _decided_group_span(tracer, dst_prefix: Optional[Tuple[int, int]],
+                        members: List[Tuple[int, BatchQuery]]) -> None:
+    """The ``batch.group`` span of a group planning decided whole: it
+    encodes nothing, so it only marks the group in the trace."""
+    k = max(query.max_failures for _, query in members)
+    with tracer.span("batch.group", queries=len(members), max_failures=k,
+                     reused=False, decided=len(members),
+                     dst_prefix=_group_lane(dst_prefix, k)):
+        pass
 
 
 def _solve_group(network: Network, options: EncoderOptions,

@@ -8,6 +8,10 @@ state.  A single query is a batch of one: it builds a fresh
 :class:`~repro.core.engine.GroupEncoding` and runs
 :meth:`~repro.core.engine.GroupEncoding.solve_one`, the same code every
 batch query (lazy load-balancing refinement included) goes through.
+Before that, like every batch query, it asks
+:func:`~repro.core.engine.decide` whether the network already fixes its
+verdict; such a query is answered from the simulated stable state with
+``method="simulation"`` and never encoded.
 
 Also implements the §5 checks that need two encodings (fault-invariance
 and full equivalence) and fronts the local-equivalence check.  Every
@@ -138,6 +142,11 @@ class VerificationResult:
     #: True when the verdict was replayed from a verdict cache (the
     #: query's dependency slice was untouched) instead of solved fresh.
     cached: bool = False
+    #: How the verdict was decided: ``"sat"`` (the encoding and the
+    #: CDCL search) or ``"simulation"`` (the network fixes the verdict;
+    #: see :func:`repro.analysis.stable.fixed_verdict`).  A replayed
+    #: verdict keeps the method that first decided it.
+    method: str = "sat"
 
     def __bool__(self) -> bool:
         return bool(self.holds)
@@ -258,7 +267,7 @@ class Verifier:
         bound); ``prop.failures_needed`` still raises the bound when the
         property structurally requires more failures than requested.
         """
-        from .engine import BatchQuery, GroupEncoding
+        from .engine import BatchQuery, GroupEncoding, decide
 
         tracer = _query_tracer()
         name = type(prop).__name__
@@ -266,15 +275,17 @@ class Verifier:
         k = effective_max_failures(prop, max_failures, options)
         if k != options.max_failures:
             options = replace(options, max_failures=k)
+        query = BatchQuery(prop=prop, max_failures=max_failures,
+                           assumptions=tuple(assumptions))
         root = tracer.span("verify", property=name, max_failures=k)
         with root:
-            group = GroupEncoding(self.network, options,
-                                  self.conflict_budget, prop.dst_prefix(),
-                                  tracer=tracer)
-            result = group.solve_one(
-                BatchQuery(prop=prop, max_failures=max_failures,
-                           assumptions=tuple(assumptions)),
-                tracer=tracer, shared_share=group.encode_seconds)
+            result = decide(self.network, query, k, tracer)
+            if result is None:
+                group = GroupEncoding(self.network, options,
+                                      self.conflict_budget,
+                                      prop.dst_prefix(), tracer=tracer)
+                result = group.solve_one(query, tracer=tracer,
+                                         shared_share=group.encode_seconds)
         result.seconds = root.duration
         return result
 

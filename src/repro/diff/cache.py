@@ -28,8 +28,10 @@ _FORMAT_VERSION = 1
 class VerdictCache:
     """A mapping of cache keys to verdict records.
 
-    Records are plain dicts with ``holds`` (bool) and ``message``
-    (str).  The cache satisfies the duck-typed interface the batch
+    Records are plain dicts with ``holds`` (bool), ``message`` (str)
+    and ``method`` (``"sat"`` or ``"simulation"``, how the verdict was
+    first decided; a record without it reads as ``"sat"``).
+    The cache satisfies the duck-typed interface the batch
     engine expects: ``get(key)`` and ``put(key, record)``.
 
     Thread-safe: one cache may be shared by concurrent verify
@@ -105,10 +107,13 @@ class VerdictCache:
         if record.get("holds") is None:
             return
         with self._lock:
-            self._data[key] = {
+            entry = {
                 "holds": bool(record["holds"]),
                 "message": record.get("message", ""),
             }
+            if "method" in record:
+                entry["method"] = record["method"]
+            self._data[key] = entry
             self.dirty = True
 
     def __len__(self) -> int:

@@ -12,8 +12,9 @@ run) recording every ``verify`` / ``verify-batch`` / ``diff`` /
   (canonical device forms, so comment/whitespace edits do not change
   it) and the semantic :class:`EncoderOptions` fingerprint from
   :func:`repro.analysis.deps.options_fingerprint`;
-* outcomes: one row per query (verdict, cached/replayed flag, CNF
-  sizes, conflicts, timing split);
+* outcomes: one row per query (verdict, cached/replayed flag, how it
+  was decided — ``sat`` or ``simulation`` —, CNF sizes, conflicts,
+  timing split);
 * telemetry rollups: per-phase span totals and the full metrics
   snapshot, so ``repro history`` can diff where time and formula size
   went between any two recorded runs without the original trace files.
@@ -174,6 +175,7 @@ def build_record(command: str,
             "clauses": result.num_clauses,
             "conflicts": result.conflicts,
             "message": result.message,
+            "method": getattr(result, "method", "sat"),
         })
     if tracer is not None and getattr(tracer, "enabled", False):
         phases: Dict[str, Dict[str, float]] = {}
@@ -217,6 +219,7 @@ _CREATE = [
         clauses INTEGER NOT NULL DEFAULT 0,
         conflicts INTEGER NOT NULL DEFAULT 0,
         message TEXT NOT NULL DEFAULT '',
+        method TEXT NOT NULL DEFAULT 'sat',
         PRIMARY KEY (run_id, idx))""",
     """CREATE INDEX IF NOT EXISTS idx_runs_config
         ON runs (config_hash, started)""",
@@ -272,8 +275,14 @@ class RunLedger:
                 f"{self.path} has schema v{version}; this build "
                 f"understands up to v{SCHEMA_VERSION} — upgrade repro "
                 "or point --ledger at a fresh file")
-        # version <= SCHEMA_VERSION: migrations would run here; v1 is
-        # the first schema, so nothing to do yet.
+        # version <= SCHEMA_VERSION: additive migrations.  A ledger
+        # written before ``queries.method`` existed gains the column;
+        # its rows were all decided by the SAT search.
+        columns = {r["name"] for r in conn.execute(
+            "PRAGMA table_info(queries)")}
+        if "method" not in columns:
+            conn.execute("ALTER TABLE queries ADD COLUMN "
+                         "method TEXT NOT NULL DEFAULT 'sat'")
 
     def close(self) -> None:
         if self._conn is not None:
@@ -309,8 +318,8 @@ class RunLedger:
             conn.executemany(
                 """INSERT INTO queries (run_id, idx, name, holds, cached,
                        seconds, encode_seconds, solve_seconds, vars,
-                       clauses, conflicts, message)
-                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)""",
+                       clauses, conflicts, message, method)
+                   VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)""",
                 [(record.run_id, q["idx"], q["name"],
                   None if q["holds"] is None else int(q["holds"]),
                   int(q.get("cached", False)),
@@ -318,7 +327,8 @@ class RunLedger:
                   q.get("encode_seconds", 0.0),
                   q.get("solve_seconds", 0.0),
                   q.get("vars", 0), q.get("clauses", 0),
-                  q.get("conflicts", 0), q.get("message", ""))
+                  q.get("conflicts", 0), q.get("message", ""),
+                  q.get("method", "sat"))
                  for q in record.queries])
         return record.run_id
 
@@ -398,7 +408,8 @@ class RunLedger:
              "encode_seconds": q["encode_seconds"],
              "solve_seconds": q["solve_seconds"],
              "vars": q["vars"], "clauses": q["clauses"],
-             "conflicts": q["conflicts"], "message": q["message"]}
+             "conflicts": q["conflicts"], "message": q["message"],
+             "method": q["method"]}
             for q in conn.execute(
                 "SELECT * FROM queries WHERE run_id = ? ORDER BY idx",
                 (row["run_id"],))]

@@ -252,6 +252,7 @@ def result_to_json(result) -> Dict[str, Any]:
         "property": result.property_name,
         "holds": result.holds,
         "cached": result.cached,
+        "method": result.method,
         "message": result.message,
         "seconds": round(result.seconds, 6),
         "encode_seconds": round(result.encode_seconds, 6),

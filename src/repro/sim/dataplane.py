@@ -7,7 +7,7 @@ resolving recursive (iBGP) next hops, and classifying the outcome.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from repro.net import ip as iplib
@@ -85,7 +85,71 @@ class DataPlane:
         branches = self.traces(start, packet)
         return bool(branches) and all(t.delivered for t in branches)
 
+    def step(self, device: str,
+             packet: Packet) -> Tuple[bool, Tuple[str, ...]]:
+        """One forwarding step of ``packet`` at ``device``, every
+        equal-cost branch included: whether the device delivers it, and
+        the neighbors and external peers it hands the packet to.
+
+        This is the one-hop view :meth:`traces` walks, with the hops a
+        branch could not take left out (a missing or failed link, an
+        ACL that drops the packet): the concrete counterpart of the
+        encoder's ``local_deliver`` and ``datafwd`` terms.
+        """
+        if self.network.device(device).owns_address(packet.dst_ip):
+            return True, ()
+        delivered, targets = False, set()
+        for route in self.state.fib_lookup(device, packet.dst_ip):
+            kind, target = self._resolve(device, route, packet.dst_ip,
+                                         depth=8)
+            if kind == "local":
+                target = self._subnet_target(device, packet.dst_ip)
+                if target is None:
+                    delivered = True
+                    continue
+            elif kind != "next":
+                continue
+            if target in self.network.devices:
+                passes = self._crosses(device, target, packet)
+            else:
+                # As in traces(): only a routed exit checks the ACL.
+                passes = kind == "local" or self._exits(device, target,
+                                                        packet)
+            if passes:
+                targets.add(target)
+        return delivered, tuple(sorted(targets))
+
     # ------------------------------------------------------------------
+
+    def _crosses(self, device: str, target: str, packet: Packet) -> bool:
+        """Can ``packet`` cross the link from ``device`` to ``target``
+        (the link exists and is up, and both ACLs permit it)?"""
+        edge = self.network.edge_between(device, target)
+        return (edge is not None
+                and not self.state.environment.link_failed(device, target)
+                and self._acl_out_permits(device, edge.source_iface, packet)
+                and self._acl_in_permits(target, edge.target_iface, packet))
+
+    def _exits(self, device: str, peer_name: str, packet: Packet) -> bool:
+        """Does the egress ACL toward external peer ``peer_name`` let
+        ``packet`` out?"""
+        peer = next((p for p in self.network.externals
+                     if p.name == peer_name), None)
+        return peer is None or self._acl_out_permits(
+            device, peer.router_iface, packet)
+
+    def _subnet_target(self, device: str, dst_ip: int) -> Optional[str]:
+        """Where a connected route at ``device`` hands ``dst_ip``: the
+        neighbor device or external peer owning it, or None for plain
+        hosts on the subnet (delivered)."""
+        owner = self.network.device_owning(dst_ip)
+        if owner is not None and owner != device:
+            return owner
+        peer = next((p for p in self.network.externals
+                     if p.peer_ip == dst_ip), None)
+        if peer is not None and peer.router == device:
+            return peer.name
+        return None
 
     def _walk(self, device: str, packet: Packet, path: Tuple[str, ...],
               out: List[Trace], depth: int) -> None:
@@ -114,31 +178,21 @@ class DataPlane:
             out.append(Trace(path, NO_ROUTE))
             return
         if kind == "local":
-            # Connected subnet delivery: a neighbor device, an external
-            # peer, or plain hosts on the subnet.
-            owner = self.network.device_owning(packet.dst_ip)
-            if owner is not None and owner != device:
-                self._hop(device, owner, packet, path, out, depth)
-                return
-            peer = next((p for p in self.network.externals
-                         if p.peer_ip == packet.dst_ip), None)
-            if peer is not None and peer.router == device:
-                out.append(Trace(path, EXITED, exit_peer=peer.name))
-                return
-            out.append(Trace(path, DELIVERED))
+            target = self._subnet_target(device, packet.dst_ip)
+            if target is None:
+                out.append(Trace(path, DELIVERED))
+            elif target in self.network.devices:
+                self._hop(device, target, packet, path, out, depth)
+            else:
+                out.append(Trace(path, EXITED, exit_peer=target))
             return
         target = resolved[1]
         if target in self.network.devices:
             self._hop(device, target, packet, path, out, depth)
-        else:
-            # External peer: apply the egress ACL, then the packet exits.
-            peer = next((p for p in self.network.externals
-                         if p.name == target), None)
-            if peer is not None and not self._acl_out_permits(
-                    device, peer.router_iface, packet):
-                out.append(Trace(path, DROPPED_ACL))
-                return
+        elif self._exits(device, target, packet):
             out.append(Trace(path, EXITED, exit_peer=target))
+        else:
+            out.append(Trace(path, DROPPED_ACL))
 
     def _hop(self, device: str, target: str, packet: Packet,
              path: Tuple[str, ...], out: List[Trace], depth: int) -> None:

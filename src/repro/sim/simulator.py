@@ -17,7 +17,7 @@ proves for all states).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.net import ip as iplib
 from repro.net.device import DeviceConfig
@@ -52,6 +52,11 @@ class SimulationResult:
     fibs: Dict[str, Dict[Prefix, List[Route]]]   # device -> prefix -> best
     converged: bool
     rounds: int
+    #: (device, prefix) where a single-path OSPF or BGP instance chose
+    #: among equal-cost routes with different next hops on router id
+    #: alone.  The encoder breaks that tie on its own router index, so
+    #: there its stable state may forward elsewhere.
+    ties: FrozenSet[Tuple[str, Prefix]] = frozenset()
 
     def fib_lookup(self, device: str, dst_ip: int) -> List[Route]:
         """Longest-prefix-match FIB lookup."""
@@ -75,6 +80,7 @@ class ControlPlaneSimulator:
         self.env = environment
         self.max_rounds = max_rounds
         self._externals = {p.name: p for p in network.externals}
+        self._ties: Set[Tuple[str, Prefix]] = set()
 
     # ------------------------------------------------------------------
 
@@ -88,6 +94,8 @@ class ControlPlaneSimulator:
         converged = False
         rounds = 0
         for rounds in range(1, self.max_rounds + 1):
+            # Ties are those of the round that reads the final state.
+            self._ties = set()
             new_ribs: Dict[str, Rib] = {}
             for name, dev in self.network.devices.items():
                 new_ribs[name] = self._device_rib(name, dev, ribs, fibs)
@@ -100,7 +108,7 @@ class ControlPlaneSimulator:
             ribs, fibs = new_ribs, new_fibs
         return SimulationResult(network=self.network, environment=self.env,
                                 ribs=ribs, fibs=fibs, converged=converged,
-                                rounds=rounds)
+                                rounds=rounds, ties=frozenset(self._ties))
 
     # ------------------------------------------------------------------
     # Per-device computation for one round
@@ -265,9 +273,21 @@ class ControlPlaneSimulator:
                         next_hop_ip=remote_iface.address,
                     ))
         return {
-            prefix: select_best(group, multipath=dev.ospf.multipath)
+            prefix: self._select(name, prefix, group,
+                                 multipath=dev.ospf.multipath)
             for prefix, group in candidates.items()
         }
+
+    def _select(self, name: str, prefix: Prefix, group: List[Route],
+                med_mode: str = "always",
+                multipath: bool = False) -> List[Route]:
+        """``select_best``, noting a router-id tie between next hops."""
+        best = select_best(group, med_mode=med_mode, multipath=multipath)
+        if not multipath and len(group) > 1:
+            ties = select_best(group, med_mode=med_mode, multipath=True)
+            if len({route.next_hop for route in ties}) > 1:
+                self._ties.add((name, prefix))
+        return best
 
     # -- BGP --------------------------------------------------------------
 
@@ -307,8 +327,8 @@ class ControlPlaneSimulator:
                                                prev_fibs):
                 offer(route)
         selected = {
-            prefix: select_best(group, med_mode=bgp.med_mode,
-                                multipath=bgp.multipath)
+            prefix: self._select(name, prefix, group, med_mode=bgp.med_mode,
+                                 multipath=bgp.multipath)
             for prefix, group in candidates.items()
         }
         # Aggregation (§4): a covered, selected route activates the

@@ -16,7 +16,8 @@ representations.  See docs/SOLVER.md for the contract.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .lits import ensure_lits
 from .preprocess import (
@@ -202,7 +203,8 @@ class ReferenceSatSolver:
         return [(clause, act.get(id(clause))) for clause in self._learnts]
 
     def install_clauses(self, problem: List[List[int]],
-                        learnts: List[Tuple[List[int], Optional[float]]]) -> None:
+                        learnts: List[Tuple[List[int], Optional[float]]],
+                        ) -> None:
         """Replace the clause database wholesale and rebuild the watches.
 
         Root-level only.  Clears propagation state (``qhead`` back to 0,

@@ -51,7 +51,8 @@ working set and :meth:`simplify` installs the result.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .lits import _LITS, ensure_lits
 from .preprocess import (
@@ -429,7 +430,8 @@ class SatSolver:
                 for ref in self._learnt_refs]
 
     def install_clauses(self, problem: List[Optional[List[int]]],
-                        learnts: List[Tuple[List[int], Optional[float]]]) -> None:
+                        learnts: List[Tuple[List[int], Optional[float]]],
+                        ) -> None:
         """Replace the clause database wholesale and rebuild the watches.
 
         Root-level only.  The arena is rebuilt from scratch (a full
@@ -845,7 +847,8 @@ class SatSolver:
         removed = []
         kept = []
         for i, ref in enumerate(learnts):
-            if i < keep_from and arena[ref - 1] - ref > 2 and ref not in locked:
+            if (i < keep_from and arena[ref - 1] - ref > 2
+                    and ref not in locked):
                 removed.append(ref)
             else:
                 kept.append(ref)

@@ -158,7 +158,8 @@ def test_xdf002_near_miss_upstream_announces_the_prefix():
     # The same import policy is legitimate once hub can actually send
     # a 172.16/16 route.
     texts = network("", left=LEFT_SHADOWED)
-    texts["hub.cfg"] = hub_announcing(" network 172.16.4.0 mask 255.255.255.0\n")
+    texts["hub.cfg"] = hub_announcing(
+        " network 172.16.4.0 mask 255.255.255.0\n")
     assert not analyze(texts).by_rule("XDF002")
 
 

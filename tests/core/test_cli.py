@@ -176,6 +176,7 @@ class TestObservability:
         out = capsys.readouterr().out
         assert "clauses=" in out
         assert "shared=" in out and "query=" in out
+        assert "method=" in out
 
     def test_verify_trace_and_profile(self, config_dir, tmp_path, capsys):
         trace = tmp_path / "run.trace.json"
@@ -399,6 +400,7 @@ class TestHistoryCLI:
         assert "Reachability: HOLDS" in out
         assert "phases:" in out
         assert "clauses=" in out
+        assert "method=sat" in out
 
     def test_compare_identical_runs_exits_zero(self, two_runs, capsys):
         capsys.readouterr()

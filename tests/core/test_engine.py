@@ -7,7 +7,7 @@ from repro.core import BatchEngine, BatchQuery, properties as P, verify_batch
 from repro.core.encoder import EncoderOptions
 
 
-def ospf_chain(n=3, multipath=False):
+def chain_builder(n=3, multipath=False):
     b = NetworkBuilder()
     names = [f"R{i}" for i in range(1, n + 1)]
     for name in names:
@@ -16,6 +16,21 @@ def ospf_chain(n=3, multipath=False):
     for a, c in zip(names, names[1:]):
         b.link(a, c)
     b.device(names[-1]).interface("host", "10.9.0.1/24")
+    return b
+
+
+def ospf_chain(n=3, multipath=False):
+    return chain_builder(n, multipath).build()
+
+
+def undecided_chain(n=3):
+    """``ospf_chain`` plus a discard static on R1 for an unrelated
+    prefix.  Verdicts on 10.9.0.0/24 and 172.20.0.0/16 are unchanged,
+    but the static makes R1 a loop pivot, so the network fixes no
+    verdict without an encoding (``repro.analysis.stable``): every
+    query on it builds, caches and solves one."""
+    b = chain_builder(n)
+    b.device("R1").static_route("192.0.2.0/24", drop=True)
     return b.build()
 
 
@@ -231,7 +246,7 @@ class TestEncodingCache:
         from repro.serve import TTLLRUCache
 
         monkeypatch.setattr(engine_mod, "_GROUP_RECYCLE_QUERIES", 2)
-        network = ospf_chain(2)
+        network = undecided_chain(2)
         cache = TTLLRUCache()
         engine = BatchEngine(network, encoding_cache=cache)
         prop = P.Reachability(sources="all", dest_prefix_text="10.9.0.0/24")
@@ -260,7 +275,7 @@ class TestEncodingCache:
         from repro.serve import TTLLRUCache
 
         cache = TTLLRUCache()
-        engine = BatchEngine(ospf_chain(2), encoding_cache=cache)
+        engine = BatchEngine(undecided_chain(2), encoding_cache=cache)
         prop = P.Reachability(sources=["R1"],
                               dest_prefix_text="10.9.0.0/24")
         return engine, cache, prop, engine.encoding_cache_key(
@@ -275,7 +290,7 @@ class TestEncodingCache:
         assert engine.last_encoding_stats == {"hits": 1, "misses": 0}
         assert k0.encode_shared_seconds == 0.0
         assert k0.holds is True
-        assert k0.holds == Verifier(ospf_chain(2)).verify(
+        assert k0.holds == Verifier(undecided_chain(2)).verify(
             prop, max_failures=0).holds
 
     def test_encoding_refuses_a_larger_k(self):
@@ -371,7 +386,7 @@ class TestEncodingCache:
 
 class TestStats:
     def test_per_query_stats_populated(self):
-        network = ospf_chain(3)
+        network = undecided_chain(3)
         results = verify_batch(network, query_matrix())
         for result in results:
             assert result.num_variables > 0
@@ -394,7 +409,7 @@ class TestStats:
         """The one-time shared encoding is amortized evenly across a
         group, per-query cost is separate, and encode_seconds is exactly
         their sum — so group totals add up without double-counting."""
-        network = ospf_chain(3)
+        network = undecided_chain(3)
         queries = [
             BatchQuery(P.Reachability(sources="all",
                                       dest_prefix_text="10.9.0.0/24")),
@@ -434,7 +449,7 @@ class TestStats:
         assert total == pytest.approx(shared_spans + query_spans)
 
     def test_standalone_verify_shared_is_full_network_encoding(self):
-        network = ospf_chain(3)
+        network = undecided_chain(3)
         result = Verifier(network).verify(
             P.Reachability(sources="all", dest_prefix_text="10.9.0.0/24"))
         assert result.encode_shared_seconds > 0
@@ -459,7 +474,7 @@ class TestPoolFallback:
 
         monkeypatch.setattr(engine_mod, "ProcessPoolExecutor",
                             ExplodingPool)
-        network = ospf_chain(3)
+        network = undecided_chain(3)
         queries = query_matrix()
         tracer = obs.Tracer()
         with obs.use(tracer):

@@ -138,6 +138,24 @@ class TestSchema:
         with pytest.raises(LedgerError, match="schema"):
             RunLedger(path).get("aaaa")
 
+    def test_method_column_added_to_an_older_ledger(self, tmp_path):
+        """A ledger written before ``queries.method`` existed gains the
+        column on open; its rows read back as decided by the SAT
+        search, and new rows keep their own method."""
+        path = str(tmp_path / "ledger.sqlite")
+        with RunLedger(path) as ledger:
+            ledger.append(_record("aaaa"))
+        conn = sqlite3.connect(path)
+        with conn:
+            conn.execute("ALTER TABLE queries DROP COLUMN method")
+        conn.close()
+        record = _record("bbbb")
+        record.queries[0]["method"] = "simulation"
+        with RunLedger(path) as ledger:
+            assert ledger.get("aaaa").queries[0]["method"] == "sat"
+            ledger.append(record)
+            assert ledger.get("bbbb").queries[0]["method"] == "simulation"
+
     def test_garbage_file_refused(self, tmp_path):
         path = tmp_path / "garbage.sqlite"
         path.write_text("this is not a sqlite database, not even close")
@@ -163,9 +181,12 @@ class TestBuildRecord:
         tracer = obs.Tracer()
         with obs.use(tracer):
             verifier = Verifier(network)
+            # k=1 from B: a query the network does not decide without
+            # an encoding, so the record carries CNF counts.
             result = verifier.verify(
-                P.Reachability(sources="all",
-                               dest_prefix_text="10.9.0.0/24"))
+                P.Reachability(sources=["B"],
+                               dest_prefix_text="10.9.0.0/24"),
+                max_failures=1)
         record = build_record("verify", ["verify", "x"], network=network,
                               options=verifier.options, results=[result],
                               tracer=tracer)

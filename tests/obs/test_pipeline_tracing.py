@@ -5,7 +5,7 @@ import pytest
 from repro import Verifier, obs
 from repro.core import properties as P, verify_batch
 
-from tests.core.test_engine import ospf_chain, query_matrix
+from tests.core.test_engine import ospf_chain, query_matrix, undecided_chain
 
 
 @pytest.fixture(autouse=True)
@@ -16,7 +16,7 @@ def _no_global_tracer():
 
 
 def test_verify_emits_phase_spans():
-    network = ospf_chain(3)
+    network = undecided_chain(3)
     tracer = obs.Tracer()
     with obs.use(tracer):
         result = Verifier(network).verify(
@@ -33,7 +33,7 @@ def test_verify_emits_phase_spans():
 
 
 def test_verify_stats_without_tracer_still_populated():
-    result = Verifier(ospf_chain(3)).verify(
+    result = Verifier(undecided_chain(3)).verify(
         P.Reachability(dest_prefix_text="10.9.0.0/24"))
     assert result.seconds > 0
     assert result.encode_seconds > 0
@@ -54,7 +54,7 @@ def test_tracing_does_not_change_verdicts():
 
 
 def test_batch_group_spans_and_cnf_attribution():
-    network = ospf_chain(3)
+    network = undecided_chain(3)
     tracer = obs.Tracer()
     with obs.use(tracer):
         verify_batch(network, query_matrix())
@@ -68,7 +68,7 @@ def test_batch_group_spans_and_cnf_attribution():
 
 
 def test_parallel_workers_merge_traces():
-    network = ospf_chain(3)
+    network = undecided_chain(3)
     queries = query_matrix()
     tracer = obs.Tracer()
     with obs.use(tracer):

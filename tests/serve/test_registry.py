@@ -36,11 +36,11 @@ def registry():
     return SnapshotRegistry(cache=TTLLRUCache())
 
 
-def reach(sources="all", label=None):
+def reach(sources="all", label=None, max_failures=None):
     return BatchQuery(
         prop=P.Reachability(sources=sources,
                             dest_prefix_text="10.9.0.0/24"),
-        label=label)
+        max_failures=max_failures, label=label)
 
 
 class TestIngest:
@@ -116,13 +116,16 @@ class TestVerify:
         """The tentpole contract: warm-path verdicts are bit-identical
         to a fresh Verifier solve that never saw any cache."""
         snap = registry.ingest("t1", texts, name="prod")
-        cold = [reach(label="q1"), reach(sources=["R1"], label="q2")]
+        # k=1: at k=0 the network fixes these verdicts without any
+        # encoding, so there would be no encoding to warm.
+        cold = [reach(label="q1", max_failures=1),
+                reach(sources=["R1"], label="q2", max_failures=1)]
         registry.verify(snap, cold)
         # Verdict keys are semantic (labels don't count), so the warm
         # batch needs *different* sources for the same prefix: it must
         # reuse the group encoding, not replay verdicts.
-        warm = [reach(sources=["R3"], label="q3"),
-                reach(sources=["R2"], label="q4")]
+        warm = [reach(sources=["R3"], label="q3", max_failures=1),
+                reach(sources=["R2"], label="q4", max_failures=1)]
         results, stats = registry.verify(snap, warm)
         assert stats["hits"] >= 1
         assert stats["verdicts_replayed"] == 0

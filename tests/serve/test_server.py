@@ -63,9 +63,10 @@ def call(server, method, path, body=None, tenant="acme", raw=None):
         return err.code, json.loads(err.read()), err.headers
 
 
-def reach_spec(sources=None, label=None):
+def reach_spec(sources=None, label=None, max_failures=None):
     return {"property": "reachability", "sources": sources,
-            "dest_prefix": "10.9.0.0/24", "label": label}
+            "dest_prefix": "10.9.0.0/24", "label": label,
+            "max_failures": max_failures}
 
 
 class TestLifecycle:
@@ -160,21 +161,28 @@ class TestVerifyEndpoints:
                                     reach_spec())
         assert status == 200
         assert doc["result"]["holds"] is True
+        # The OSPF triangle has one stable state: no encoding is built.
+        assert doc["result"]["method"] == "simulation"
         assert doc["run_id"] == headers["X-Repro-Run-Id"]
 
         status, second, headers = call(server, "POST",
                                        "/v1/snapshots/prod/verify",
                                        reach_spec())
         assert second["result"]["cached"] is True
+        assert second["result"]["method"] == "simulation"
         assert second["run_id"] != doc["run_id"]
 
     def test_batch_warm_encoding(self, server):
         call(server, "POST", "/v1/snapshots",
              {"configs": build_texts(), "name": "prod"})
-        cold = {"queries": [reach_spec(label="a")]}
+        # k=1: at k=0 the network fixes these verdicts without any
+        # encoding, so there would be no encoding to warm.
+        cold = {"queries": [reach_spec(label="a", max_failures=1)]}
         call(server, "POST", "/v1/snapshots/prod/verify-batch", cold)
-        warm = {"queries": [reach_spec(sources=["R1"], label="b"),
-                            reach_spec(sources=["R2"], label="c")]}
+        warm = {"queries": [reach_spec(sources=["R1"], label="b",
+                                       max_failures=1),
+                            reach_spec(sources=["R2"], label="c",
+                                       max_failures=1)]}
         status, doc, _ = call(server, "POST",
                               "/v1/snapshots/prod/verify-batch", warm)
         assert status == 200

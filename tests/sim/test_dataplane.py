@@ -212,3 +212,26 @@ class TestReachableHelpers:
         packet = Packet.to("10.9.0.5")
         assert dataplane.reachable("S", packet)
         assert not dataplane.reachable_all_paths("S", packet)
+
+    def test_step_lists_every_equal_cost_hop_that_passes(self):
+        b = NetworkBuilder()
+        for name in ("S", "L", "R", "D"):
+            dev = b.device(name)
+            dev.enable_ospf(multipath=True)
+            dev.ospf_network("10.0.0.0/8")
+        b.link("S", "L")
+        b.link("S", "R")
+        b.link("L", "D")
+        b.link("R", "D")
+        b.device("D").interface("host", "10.9.0.1/24")
+        net = b.build()
+        packet = Packet.to("10.9.0.5")
+        dataplane = DataPlane(simulate(net))
+        assert dataplane.step("S", packet) == (False, ("L", "R"))
+        assert dataplane.step("D", packet) == (True, ())
+        assert dataplane.step("S", Packet.to("172.16.0.1")) == (False, ())
+        # An ingress ACL at L takes that branch out of S's step.
+        edge = net.edge_between("S", "L")
+        net.device("L").acls["BLK"] = Acl("BLK", (AclRule("deny"),))
+        net.device("L").interfaces[edge.target_iface].acl_in = "BLK"
+        assert DataPlane(simulate(net)).step("S", packet) == (False, ("R",))

@@ -93,6 +93,24 @@ class TestOspf:
         assert paths == {("S", "L", "D"), ("S", "R", "D")}
         assert all(t.delivered for t in traces)
 
+    def test_router_id_ties_recorded_for_single_path(self):
+        """A single-path instance picking among equal-cost next hops on
+        router id alone is noted, since the encoder numbers routers
+        differently; with multipath every tie is forwarded on."""
+        for multipath in (False, True):
+            b = NetworkBuilder()
+            for name in ("S", "L", "R", "D"):
+                b.device(name).enable_ospf(multipath=multipath)
+                b.device(name).ospf_network("10.0.0.0/8")
+            b.link("S", "L")
+            b.link("S", "R")
+            b.link("L", "D")
+            b.link("R", "D")
+            b.device("D").interface("host", "10.9.0.1/24")
+            ties = simulate(b.build()).ties
+            rack = ("S", iplib.parse_prefix("10.9.0.0/24"))
+            assert (rack in ties) is not multipath
+
 
 class TestStaticRoutes:
     def test_null0_discards(self):

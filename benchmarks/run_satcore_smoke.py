@@ -6,18 +6,23 @@ identical full counter snapshots (conflicts, decisions, propagations,
 ...) and identical models.  These are deterministic for a fixed
 workload; any mismatch fails the exit code, which is the gate.
 
-It also prints BCP throughput and the arena/reference solve-time ratio
-(> 1 means the arena is faster).  Both are timing-derived and only
-reported: performance is measured by the ladder in ``BENCHMARK.json``.
+It also prints BCP throughput, the arena/reference solve-time ratio
+(> 1 means the arena is faster) and the bytes tracemalloc sees the
+arena solver hold after loading, preprocessing and solving the
+fat-tree CNF, so a change to the solver's storage layout shows its
+memory here.  All three are only reported, never gated: performance is
+measured by the ladder in ``BENCHMARK.json``.
 
 ``--pods 2`` (the default) keeps ``make check`` fast; CI runs
 ``--pods 4``.
 """
 
 import argparse
+import gc
 import random
 import sys
 import time
+import tracemalloc
 
 from repro.core import EncoderOptions, properties as P
 from repro.core.encoder import NetworkEncoder
@@ -74,6 +79,26 @@ def run_pair(clauses, num_vars, preprocess, budget=None):
     return verdicts, counters, sec_a, sec_b
 
 
+def arena_held_bytes(clauses, num_vars):
+    """Bytes the arena solver holds once it has loaded, preprocessed
+    and solved ``clauses`` (as the facade runs it), by tracemalloc."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver = SatSolver()
+        solver.preprocess_enabled = True
+        solver.ensure_vars(num_vars)
+        for clause in clauses:
+            solver.add_clause(clause)
+        solver.solve()
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    return held
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--pods", type=int, default=2,
@@ -126,12 +151,14 @@ def main(argv=None) -> int:
     check(all_verdicts, "arena verdicts/models identical to reference")
     check(all_counters, "arena counters identical to reference")
     solve_ratio = ref_s / arena_s if arena_s else float("inf")
+    held = arena_held_bytes(ft_clauses, ft_vars)
 
     print_table(f"SAT core smoke (fat-tree {args.pods} pods, "
                 f"{args.seeds} random seeds)",
-                ["props/s", "arena s", "ref s", "ratio"],
+                ["props/s", "arena s", "ref s", "ratio", "arena held"],
                 [[f"{props_per_sec / 1000:.1f}k", f"{arena_s:.2f}",
-                  f"{ref_s:.2f}", f"{solve_ratio:.2f}x"]])
+                  f"{ref_s:.2f}", f"{solve_ratio:.2f}x",
+                  f"{held / 1e6:.2f} MB"]])
 
     if failures:
         print(f"{len(failures)} check(s) failed", file=sys.stderr)

@@ -375,14 +375,15 @@ def _fixed_at(state, dst: Prefix, dst_ip: int, routers: List[str]) -> bool:
     """Is the forwarding of ``dst_ip`` at each of ``routers`` the same
     in every stable state of every environment?
 
-    It is when the router owns the address, or forwards it on a FIB
+    It is when an up interface of the router holds the address (it
+    delivers it locally), or when the router forwards it on a FIB
     entry at least as long as ``dst`` (no external route can beat it
     on longest-prefix match) that no router-id tie chose.  With no
     external peer at all there is no external route to beat.
     """
     network = state.network
     for router in routers:
-        if network.device(router).owns_address(dst_ip):
+        if network.device(router).delivers_locally(dst_ip):
             continue
         routes = state.fib_lookup(router, dst_ip)
         if not routes:

@@ -169,12 +169,14 @@ class GroupEncoding:
         this estimate is linear in the CNF size.  The constants were
         fitted to the bytes tracemalloc sees freed when a warm group
         (one reachability query discharged) is dropped, on pods-2
-        fat-tree groups (~2,170 vars / 6,750 clauses, ~2.0 MB) and 3-
-        to 6-router cloud-corpus groups (2,100-5,100 vars, 1.7-4.4 MB):
-        every estimate lies within 0.83-1.07x of its measurement.
+        fat-tree groups (~2,170 vars / 6,750 clauses, ~1.5-1.6 MB) and
+        3- to 6-router cloud-corpus groups (2,100-5,100 vars, 1.4-3.4
+        MB), at failure bounds 0 and 1: every estimate lies within
+        0.83-1.07x of its measurement.  Vars and clauses grow almost in
+        proportion, so the split between the two terms is loose.
         """
-        return (4096 + 300 * self.solver.num_variables
-                + 160 * self.solver.num_clauses)
+        return (4096 + 560 * self.solver.num_variables
+                + 20 * self.solver.num_clauses)
 
     def solve_one(self, query: "BatchQuery", tracer=None,
                   shared_share: float = 0.0) -> VerificationResult:

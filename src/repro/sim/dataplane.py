@@ -96,7 +96,7 @@ class DataPlane:
         ACL that drops the packet): the concrete counterpart of the
         encoder's ``local_deliver`` and ``datafwd`` terms.
         """
-        if self.network.device(device).owns_address(packet.dst_ip):
+        if self.network.device(device).delivers_locally(packet.dst_ip):
             return True, ()
         delivered, targets = False, set()
         for route in self.state.fib_lookup(device, packet.dst_ip):
@@ -157,7 +157,7 @@ class DataPlane:
             out.append(Trace(path, LOOP))
             return
         dev = self.network.device(device)
-        if dev.owns_address(packet.dst_ip):
+        if dev.delivers_locally(packet.dst_ip):
             out.append(Trace(path, DELIVERED))
             return
         routes = self.state.fib_lookup(device, packet.dst_ip)

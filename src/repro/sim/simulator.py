@@ -437,7 +437,7 @@ class ControlPlaneSimulator:
         current = start
         for _ in range(max_hops):
             dev = self.network.device(current)
-            if dev.owns_address(dst_ip):
+            if dev.delivers_locally(dst_ip):
                 return True
             table = fibs.get(current, {})
             best_len, best = -1, None

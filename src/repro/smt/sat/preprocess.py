@@ -48,6 +48,7 @@ Correctness contract with the incremental solver:
 
 from __future__ import annotations
 
+from array import array
 from typing import Iterator, List, Optional, Sequence
 
 from .lits import _LITS
@@ -106,19 +107,23 @@ def _signature(clause: List[int]) -> int:
     return mask
 
 
-def stored_clauses(record: Sequence[int]) -> Iterator[Sequence[int]]:
+def stored_clauses(record: bytes) -> Iterator[Sequence[int]]:
     """The clauses of one flat elimination record, in stored order.
 
-    A record is ``(len, lits..., len, lits..., ...)``: every clause
-    removed when its variable was eliminated, the clauses holding the
-    witness literal first.  One tuple per variable instead of one per
-    clause keeps the store small and out of the cycle collector.
+    A record is the int32 sequence ``len, lits..., len, lits..., ...``:
+    every clause removed when its variable was eliminated, the clauses
+    holding the witness literal first.  It is stored as the ``bytes``
+    of an ``array('i')``: one allocation of 4 bytes a literal, which
+    the cycle collector never tracks (an ``array`` object it would).
+    A read boxes a fresh int, so a caller that stores a literal maps it
+    through ``_LITS`` (the solver's restore path does).
     """
+    lits = memoryview(record).cast("i")
     i = 0
-    size = len(record)
+    size = len(lits)
     while i < size:
-        stop = i + 1 + record[i]
-        yield record[i + 1 : stop]
+        stop = i + 1 + lits[i]
+        yield lits[i + 1 : stop]
         i = stop
 
 
@@ -660,18 +665,14 @@ class Preprocessor:
         """
         solver = self.solver
         var = _LITS[var]  # the key outlives the run: one shared object
-        record = []
+        record = array("i")
         for idx in witness_idxs + other_idxs:
             clause = self.clauses[idx]
             record.append(len(clause))
             record.extend(clause)
             self._remove_clause(idx)
-        # Push the first clause's own int object for the witness: the
-        # solver keeps one object per literal value.
-        solver._reconstruction.append(
-            record[record.index(witness, 1, 1 + record[0])]
-        )
-        solver._elim_clauses[var] = tuple(record)
+        solver._reconstruction.append(_LITS[witness])
+        solver._elim_clauses[var] = record.tobytes()
         solver._eliminated.add(var)
 
     # ------------------------------------------------------------------

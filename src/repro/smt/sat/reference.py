@@ -64,7 +64,7 @@ class ReferenceSatSolver:
         self.preprocess_enabled = False
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
-        self._elim_clauses: Dict[int, Tuple[int, ...]] = {}
+        self._elim_clauses: Dict[int, bytes] = {}
         self._reconstruction: List[int] = []
         self._model: Optional[List[int]] = None
         self._last_root_size = 0
@@ -246,7 +246,7 @@ class ReferenceSatSolver:
             self._eliminated.discard(v)
             self.pp_restored_vars += 1
             self._order.push(v)
-            for clause in stored_clauses(self._elim_clauses.pop(v, ())):
+            for clause in stored_clauses(self._elim_clauses.pop(v, b"")):
                 for lit in clause:
                     other = lit >> 1
                     if other in self._eliminated:

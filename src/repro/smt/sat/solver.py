@@ -15,12 +15,15 @@ flat-buffer style of modern C solvers, adapted to CPython:
   scan) and is only consulted off the blocker fast path.  Offset 0 holds a
   sentinel so no live ref is 0, and refs double as reason markers
   (``-1`` = no reason).
-* **Watcher lists** — per literal, *parallel* int lists of clause refs and
-  cached blocker literals.  The dominant skip path (blocker already true)
-  touches only the blocker list; binary clauses use dedicated parallel
-  implication lists of (implied_lit, clause_ref) and never move watches.
-  A slot no clause has used yet holds the shared empty tuple and turns
-  into a list on its first append (most literals never get a watch).
+* **Watcher lists** — per literal, one list of interleaved
+  ``ref, blocker`` pairs (the clause ref and its cached blocker
+  literal).  The dominant skip path (blocker already true) reads one
+  slot and writes nothing unless an earlier pair already moved away.
+  Binary clauses use a dedicated per-literal implication list of
+  interleaved ``implied, ref`` pairs and never move watches.  A slot no
+  clause has used yet holds the shared empty tuple and turns into a
+  list on its first append (most literals never get a watch), so a
+  literal owns at most one list of each kind.
 * **Reasons** — a flat per-variable list of clause refs.
 * **Literal objects** — every literal value is one shared int object
   (``_LITS``, see :mod:`.lits`), so an arena slot, watch blocker or
@@ -209,16 +212,14 @@ class SatSolver:
         self._wasted = 0                  # dead ints awaiting compaction
         self._clause_refs: List[int] = []  # problem clause refs
         self._learnt_refs: List[int] = []  # learnt clause refs
-        # Parallel watcher arrays, indexed by the literal that just became
-        # true: _watch_refs[lit][k] is a clause watching ``lit ^ 1`` and
-        # _watch_blk[lit][k] its cached blocker.  An unused slot holds
+        # Watcher lists, indexed by the literal that just became true:
+        # _watches[lit][2k] is a clause watching ``lit ^ 1`` and
+        # _watches[lit][2k + 1] its cached blocker.  An unused slot holds
         # the shared ``()``; the first append replaces it with a list.
-        self._watch_refs: List[Sequence[int]] = [(), ()]
-        self._watch_blk: List[Sequence[int]] = [(), ()]
-        # Parallel binary implication arrays: _bin_lits[lit][k] is implied
-        # when ``lit`` becomes true; _bin_refs[lit][k] the clause ref.
-        self._bin_lits: List[Sequence[int]] = [(), ()]
-        self._bin_refs: List[Sequence[int]] = [(), ()]
+        self._watches: List[Sequence[int]] = [(), ()]
+        # Binary implication lists: _bins[lit][2k] is implied when
+        # ``lit`` becomes true and _bins[lit][2k + 1] is the clause ref.
+        self._bins: List[Sequence[int]] = [(), ()]
         self._cla_inc = 1.0
         self._trail: List[int] = []
         self._trail_lim: List[int] = []
@@ -233,11 +234,11 @@ class SatSolver:
         self.preprocess_enabled = False
         self._frozen: Set[int] = set()        # internal var indices
         self._eliminated: Set[int] = set()
-        # Per eliminated var: its original clauses as one flat record
-        # ``(len, lits..., len, lits...)``, witness clauses first; see
-        # preprocess.stored_clauses.  Write-once tuples of ints, which
-        # the cycle collector stops tracking.
-        self._elim_clauses: Dict[int, Tuple[int, ...]] = {}
+        # Per eliminated var: its original clauses as one flat int32
+        # record ``len, lits..., len, lits...``, witness clauses first,
+        # frozen to ``bytes`` (4 bytes a literal, never tracked by the
+        # cycle collector); see preprocess.stored_clauses.
+        self._elim_clauses: Dict[int, bytes] = {}
         # Witness literals in elimination order, replayed in reverse to
         # extend a model over eliminated variables.
         self._reconstruction: List[int] = []
@@ -320,10 +321,8 @@ class SatSolver:
         self._activity.extend([0.0] * count)
         self._seen.extend([0] * count)
         empty = [()] * (2 * count)
-        self._watch_refs.extend(empty)
-        self._watch_blk.extend(empty)
-        self._bin_lits.extend(empty)
-        self._bin_refs.extend(empty)
+        self._watches.extend(empty)
+        self._bins.extend(empty)
         self._order.extend(start, n)
 
     def _alloc(self, lits: Sequence[int]) -> int:
@@ -395,25 +394,33 @@ class SatSolver:
         arena = self._arena
         a = arena[ref]
         b = arena[ref + 1]
-        # Each slot pairs the clause ref with the clause's other literal
-        # (implied literal or blocker).  Parallel slots are ``()``
-        # together; AttributeError marks a slot's first append.
+        # Each pair holds the clause ref and the clause's other literal
+        # (blocker or implied literal).  AttributeError on the shared
+        # ``()`` marks a slot's first append, before anything is added.
         if arena[ref - 1] - ref == 2:
-            refs, others = self._bin_refs, self._bin_lits
-        else:
-            refs, others = self._watch_refs, self._watch_blk
+            bins = self._bins
+            try:
+                bins[a ^ 1].append(b)
+                bins[a ^ 1].append(ref)
+            except AttributeError:
+                bins[a ^ 1] = [b, ref]
+            try:
+                bins[b ^ 1].append(a)
+                bins[b ^ 1].append(ref)
+            except AttributeError:
+                bins[b ^ 1] = [a, ref]
+            return
+        watches = self._watches
         try:
-            refs[a ^ 1].append(ref)
-            others[a ^ 1].append(b)
+            watches[a ^ 1].append(ref)
+            watches[a ^ 1].append(b)
         except AttributeError:
-            refs[a ^ 1] = [ref]
-            others[a ^ 1] = [b]
+            watches[a ^ 1] = [ref, b]
         try:
-            refs[b ^ 1].append(ref)
-            others[b ^ 1].append(a)
+            watches[b ^ 1].append(ref)
+            watches[b ^ 1].append(a)
         except AttributeError:
-            refs[b ^ 1] = [ref]
-            others[b ^ 1] = [a]
+            watches[b ^ 1] = [ref, a]
 
     # ------------------------------------------------------------------
     # Preprocessing interface (accessor contract — see docs/SOLVER.md)
@@ -449,10 +456,8 @@ class SatSolver:
         self._learnt_refs = []
         self._clause_act = {}
         size = 2 * self.num_vars + 2
-        self._watch_refs = [()] * size
-        self._watch_blk = [()] * size
-        self._bin_lits = [()] * size
-        self._bin_refs = [()] * size
+        self._watches = [()] * size
+        self._bins = [()] * size
         for i, lits in enumerate(problem):
             problem[i] = None
             ref = self._alloc(lits)
@@ -496,7 +501,7 @@ class SatSolver:
             self._eliminated.discard(v)
             self.pp_restored_vars += 1
             self._order.push(v)
-            for clause in stored_clauses(self._elim_clauses.pop(v, ())):
+            for clause in stored_clauses(self._elim_clauses.pop(v, b"")):
                 for lit in clause:
                     other = lit >> 1
                     if other in self._eliminated:
@@ -509,7 +514,9 @@ class SatSolver:
         """Root-level add of a clause in internal literals (restore path).
 
         Mirrors :meth:`add_clause` minus the DIMACS conversion and
-        tautology/dedup work (stored clauses are already clean)."""
+        tautology/dedup work (stored clauses are already clean).  A
+        stored record boxes a fresh int per read, so each kept literal
+        is swapped for its shared object."""
         if self._unsat:
             return
         out = []
@@ -519,7 +526,7 @@ class SatSolver:
                 return  # satisfied at root
             if val == 0:
                 continue
-            out.append(lit)
+            out.append(_LITS[lit])
         if not out:
             self._unsat = True
             return
@@ -624,16 +631,14 @@ class SatSolver:
     def _propagate(self) -> Optional[int]:
         """Unit propagation; returns a conflicting clause ref or None.
 
-        Binary clauses propagate through dedicated implication arrays;
+        Binary clauses propagate through dedicated implication lists;
         longer clauses use two watched literals with cached blockers.
         The blocker-satisfied skip path — the vast majority of watch
-        visits — reads only the blocker array and writes nothing unless
-        a prior entry in this list already moved away.
+        visits — reads one slot per pair and writes nothing unless a
+        prior pair in this list already moved away.
         """
-        watch_refs = self._watch_refs
-        watch_blk = self._watch_blk
-        bin_lits = self._bin_lits
-        bin_refs = self._bin_refs
+        watches = self._watches
+        bin_table = self._bins
         assign = self._assign
         trail = self._trail
         level = self._level
@@ -647,40 +652,41 @@ class SatSolver:
             self.propagations += 1
             level_now = len(self._trail_lim)
             # Binary implications first (cheap, cache-friendly).
-            blits = bin_lits[lit]
-            if blits:
-                brefs = bin_refs[lit]
-                for p, implied in enumerate(blits):
+            bins = bin_table[lit]
+            if bins:
+                pairs = iter(bins)
+                for implied, bref in zip(pairs, pairs):
                     var = implied >> 1
                     value = assign[var]
                     if value == _UNDEF:
                         assign[var] = 1 - (implied & 1)
                         level[var] = level_now
-                        reason[var] = brefs[p]
+                        reason[var] = bref
                         trail.append(implied)
                     elif (value ^ (implied & 1)) == 0:
                         self._qhead = len(trail)
-                        return brefs[p]
+                        return bref
             # ``lit`` became true, so the in-clause literal ``lit ^ 1``
             # became false; clauses watching it live in watches[lit].
             false_lit = lits[lit ^ 1]  # stored on the swap/new-watch paths
-            refs = watch_refs[lit]
-            blks = watch_blk[lit]
-            i = 0
-            j = 0
-            n = len(refs)
+            ws = watches[lit]
+            # i and j index the blocker of the pair being read and
+            # written; the pair's ref sits one slot before it.
+            i = 1
+            j = 1
+            n = len(ws)
             while i < n:
-                blocker = blks[i]
+                blocker = ws[i]
                 vb = assign[blocker >> 1]
                 if vb != _UNDEF and (vb ^ (blocker & 1)) == 1:
                     if j != i:
-                        refs[j] = refs[i]
-                        blks[j] = blocker
-                    i += 1
-                    j += 1
+                        ws[j - 1] = ws[i - 1]
+                        ws[j] = blocker
+                    i += 2
+                    j += 2
                     continue
-                ref = refs[i]
-                i += 1
+                ref = ws[i - 1]
+                i += 2
                 # Normalize: the false literal goes to slot 1.
                 first = arena[ref]
                 if first == false_lit:
@@ -689,9 +695,9 @@ class SatSolver:
                     arena[ref + 1] = false_lit
                 v0 = assign[first >> 1]
                 if v0 != _UNDEF and (v0 ^ (first & 1)) == 1:
-                    refs[j] = ref
-                    blks[j] = first
-                    j += 1
+                    ws[j - 1] = ref
+                    ws[j] = first
+                    j += 2
                     continue
                 # Look for a new literal to watch.
                 found = False
@@ -702,21 +708,19 @@ class SatSolver:
                         arena[ref + 1] = lk
                         arena[k] = false_lit
                         try:
-                            watch_refs[lk ^ 1].append(ref)
-                            watch_blk[lk ^ 1].append(first)
+                            watches[lk ^ 1].append(ref)
+                            watches[lk ^ 1].append(first)
                         except AttributeError:  # first use of the slot
-                            watch_refs[lk ^ 1] = [ref]
-                            watch_blk[lk ^ 1] = [first]
+                            watches[lk ^ 1] = [ref, first]
                         found = True
                         break
                 if found:
                     continue
-                refs[j] = ref
-                blks[j] = first
-                j += 1
+                ws[j - 1] = ref
+                ws[j] = first
+                j += 2
                 if v0 != _UNDEF:  # first is false: conflict
-                    refs[j:] = refs[i:n]
-                    blks[j:] = blks[i:n]
+                    ws[j - 1:] = ws[i - 1:n]
                     self._qhead = len(trail)
                     return ref
                 # Unit: enqueue first.
@@ -725,9 +729,8 @@ class SatSolver:
                 level[var] = level_now
                 reason[var] = ref
                 trail.append(first)
-            if j != n:
-                del refs[j:]
-                del blks[j:]
+            if j != i:
+                del ws[j - 1:]
         self._qhead = qhead
         return None
 
@@ -865,14 +868,13 @@ class SatSolver:
     def _detach(self, ref: int) -> None:
         arena = self._arena
         for lit in (arena[ref], arena[ref + 1]):
-            refs = self._watch_refs[lit ^ 1]
-            blks = self._watch_blk[lit ^ 1]
-            for p in range(len(refs)):
-                if refs[p] == ref:
-                    refs[p] = refs[-1]
-                    blks[p] = blks[-1]
-                    refs.pop()
-                    blks.pop()
+            ws = self._watches[lit ^ 1]
+            for p in range(0, len(ws), 2):
+                if ws[p] == ref:
+                    # The last pair takes the freed place.
+                    ws[p] = ws[-2]
+                    ws[p + 1] = ws[-1]
+                    del ws[-2:]
                     break
 
     def _compact(self) -> None:
@@ -894,12 +896,12 @@ class SatSolver:
                 new.extend(arena[ref:end])
                 remap[ref] = nref
                 refs[i] = nref
-        for lst in self._watch_refs:
-            for p in range(len(lst)):
-                lst[p] = remap[lst[p]]
-        for lst in self._bin_refs:
-            for p in range(len(lst)):
-                lst[p] = remap[lst[p]]
+        for ws in self._watches:
+            for p in range(0, len(ws), 2):
+                ws[p] = remap[ws[p]]
+        for bins in self._bins:
+            for p in range(1, len(bins), 2):
+                bins[p] = remap[bins[p]]
         reason = self._reason
         for var in range(self.num_vars):
             r = reason[var]

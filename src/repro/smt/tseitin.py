@@ -41,8 +41,10 @@ class CnfBuilder:
         self.num_vars = 0
         self.var_of_leaf: Dict[int, int] = {}
         self.leaf_of_var: Dict[int, Term] = {}
-        self._gate_var: Dict[int, int] = {}
-        self._emitted: Dict[int, int] = {}  # gate tid -> polarity mask done
+        # Gate tid -> ``(var << 2) | mask``: its definitional variable
+        # (0 until its clauses are first emitted, which fixes the
+        # variable order) and the polarities already expanded.
+        self._gates: Dict[int, int] = {}
         self._const_true_var: int = 0
 
     def new_var(self) -> int:
@@ -110,11 +112,11 @@ class CnfBuilder:
                 # polarities recorded at expansion time.
                 self._emit_gate(node, pol)
                 continue
-            done = self._emitted.get(node.tid, 0)
-            need = pol & ~done
+            entry = self._gates.get(node.tid, 0)
+            need = pol & ~entry & _BOTH
             if not need:
                 continue
-            self._emitted[node.tid] = done | need
+            self._gates[node.tid] = entry | need
             stack.append((node, need, True))
             for child, child_pol in _child_polarities(node, need):
                 stack.append((child, child_pol, False))
@@ -132,7 +134,7 @@ class CnfBuilder:
             return -sign * self._true_lit()
         if node.kind in _LEAF_KINDS:
             return sign * self._leaf_var(node)
-        return sign * self._gate_var[node.tid]
+        return sign * (self._gates[node.tid] >> 2)
 
     def _leaf_var(self, node: Term) -> int:
         var = self.var_of_leaf.get(node.tid)
@@ -143,10 +145,12 @@ class CnfBuilder:
         return var
 
     def _gate(self, node: Term) -> int:
-        var = self._gate_var.get(node.tid)
-        if var is None:
+        """The gate's variable, allocated on its first emission."""
+        entry = self._gates[node.tid]
+        var = entry >> 2
+        if not var:
             var = self.new_var()
-            self._gate_var[node.tid] = var
+            self._gates[node.tid] = (var << 2) | entry
         return var
 
     def _emit_gate(self, node: Term, need: int) -> None:

@@ -125,6 +125,32 @@ class TestHandBuiltAgreement:
                             iplib.parse_ip(dst))
 
 
+    def test_shutdown_interface_takes_no_packets(self):
+        """A shut-down interface's address is not delivered locally, in
+        the simulator as in the encoder's ``owns`` term."""
+        from repro import Verifier
+        from repro.core import properties as P
+        from repro.net import NetworkBuilder
+        from repro.sim import Environment
+
+        b = NetworkBuilder()
+        for name in ("R1", "R2"):
+            dev = b.device(name)
+            dev.enable_ospf()
+            dev.ospf_network("10.0.0.0/8")
+        b.link("R1", "R2")
+        b.device("R2").interface("eth1", "10.9.0.1/24").shutdown = True
+        network = b.build()
+        packet = Packet.to("10.9.0.1")
+        dataplane = DataPlane(simulate(network))
+        assert dataplane.step("R2", packet) == (False, ())
+        assert not dataplane.reachable("R2", packet)
+        result = Verifier(network, preflight=False).verify(P.Reachability(
+            sources=["R2"], dest_prefix_text="10.9.0.1/32"))
+        assert result.holds is False
+        agreement_check(network, Environment.empty(), packet.dst_ip)
+
+
 class TestRandomAgreement:
     """Seeded random networks: simulator fixpoint == encoder stable state."""
 

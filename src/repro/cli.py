@@ -400,6 +400,15 @@ def _property_from_spec(kind: str, spec: dict) -> P.Property:
         raise SystemExit(exc.message) from exc
 
 
+def _load_network(configs: str):
+    """:func:`load_network`, with a path that is not a directory of
+    config files as a ``SystemExit`` message, not a traceback."""
+    try:
+        return load_network(configs)
+    except FileNotFoundError as exc:
+        raise SystemExit(str(exc)) from exc
+
+
 def _make_property(args) -> P.Property:
     return _property_from_spec(args.property, {
         "sources": args.sources,
@@ -412,7 +421,7 @@ def _make_property(args) -> P.Property:
 
 
 def _cmd_show(args) -> int:
-    network = load_network(args.configs)
+    network = _load_network(args.configs)
     print(f"{len(network.devices)} routers, "
           f"{len(network.internal_links())} links, "
           f"{len(network.externals)} external peers, "
@@ -471,7 +480,7 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_verify(args) -> int:
     with _observed(args, command="verify") as ctx:
-        network = load_network(args.configs)
+        network = _load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
             preprocess=not args.no_preprocess))
         prop = _make_property(args)
@@ -500,19 +509,13 @@ def _batch_queries(args) -> List[BatchQuery]:
             raise SystemExit(f"--spec is not valid JSON: {exc}")
         if not isinstance(entries, list):
             raise SystemExit("--spec must contain a JSON list of queries")
-        for i, entry in enumerate(entries):
-            kind = entry.get("property")
-            if kind not in PROPERTY_CHOICES:
-                raise SystemExit(
-                    f"query {i}: unknown property {kind!r} "
-                    f"(choose from {', '.join(PROPERTY_CHOICES)})")
-            assumptions = tuple(P.announces(peer)
-                                for peer in entry.get("announced_by", []))
-            queries.append(BatchQuery(
-                prop=_property_from_spec(kind, entry),
-                max_failures=entry.get("max_failures"),
-                assumptions=assumptions,
-                label=entry.get("label")))
+        from repro.serve.schemas import ApiError, query_from_spec
+
+        try:
+            queries.extend(query_from_spec(entry, i)
+                           for i, entry in enumerate(entries))
+        except ApiError as exc:
+            raise SystemExit(exc.message) from exc
     shared = {
         "sources": args.sources,
         "dest_prefix": args.dest_prefix,
@@ -537,7 +540,7 @@ def _cmd_verify_batch(args) -> int:
     if args.workers < 1:
         raise SystemExit("--workers must be >= 1")
     with _observed(args, command="verify-batch") as ctx:
-        network = load_network(args.configs)
+        network = _load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
             preprocess=not args.no_preprocess))
         queries = _batch_queries(args)
@@ -766,7 +769,7 @@ def _history_compare(args, ledger) -> int:
 
 
 def _cmd_equivalence(args) -> int:
-    network = load_network(args.configs)
+    network = _load_network(args.configs)
     result = Verifier(network).verify_local_equivalence(
         args.router_a, args.router_b,
         iface_pairing="by-name" if args.by_name else "sorted")
@@ -784,7 +787,7 @@ def _cmd_simulate(args) -> int:
         simulate,
     )
 
-    network = load_network(args.configs)
+    network = _load_network(args.configs)
     announcements = [
         ExternalAnnouncement.make(peer, prefix)
         for peer, prefix in args.announce]

@@ -23,9 +23,9 @@ This engine exploits two levers:
   conservative extension (a multipath state with unequal branch lengths
   contradicts the hop-counter equations), so left unguarded it would
   silently shrink the state space seen by later queries in the group.
-  With guards, earlier instrumentation is inert — the solver simply sets
-  its activation literal false — and every answer is identical to a
-  fresh per-query solve.
+  The next query retires ``act`` with the root unit ``¬act`` (Eén &
+  Sörensson, 2003), so spent instrumentation is satisfied at the root,
+  and every answer is identical to a fresh per-query solve.
 
 * **Process-pool parallelism across groups.**  Groups are independent
   (they share no solver), so with ``workers > 1`` they run under a
@@ -38,8 +38,8 @@ against a single-network encoding: ``Verifier.verify`` is a batch of one
 (a fresh group, one ``solve_one``).  Lazy properties (``prop.lazy``, e.g.
 :class:`LoadBalanced`) are ordinary group members: ``solve_one`` checks
 each stable state the solver finds concretely and blocks its forwarding
-behind the query's activation literal, so the blocking clauses are as
-inert for later queries as instrumentation is.
+behind the query's activation literal, so the blocking clauses retire
+with the query's instrumentation.
 
 Before any of that, planning asks :func:`repro.analysis.stable.fixed_verdict`
 whether the network already fixes a query's verdict (a loop query with
@@ -101,18 +101,6 @@ class BatchQuery:
 # largest effective bound among the group's members.
 _GroupKey = Optional[Tuple[int, int]]
 
-# A cached GroupEncoding accretes activation-guarded instrumentation
-# clauses with every query it discharges; they are inert for later
-# queries but still occupy the clause DB and slow propagation.  A
-# cached encoding that has discharged this many queries is treated as
-# a miss and rebuilt fresh instead of reused.
-_GROUP_RECYCLE_QUERIES = 256
-
-# Orders a finished run's re-insert of its encoding against a
-# concurrent run replacing that encoding (larger bound, recycle): a
-# superseded encoding is never put back over its replacement.
-_CACHE_PUT_LOCK = threading.Lock()
-
 # Stable states a lazy query may refine away before giving up UNKNOWN.
 _LAZY_ITERATIONS = 200
 
@@ -123,11 +111,10 @@ class GroupEncoding:
 
     This is the expensive artifact batch verification amortizes — and
     the unit a long-lived service (``repro serve``) caches across
-    requests.  Because property instrumentation is always asserted
-    behind a fresh activation literal (see the module docstring),
-    instrumentation from earlier queries is inert for later ones: a
-    ``GroupEncoding`` can discharge any number of queries, in any
-    order, across any number of requests, and every answer is
+    requests.  :meth:`solve_one` retires the previous query's
+    activation literal (see the module docstring) before it adds its
+    own, so a ``GroupEncoding`` can discharge any number of queries,
+    in any order, across any number of requests, and every answer is
     identical to a fresh per-query solve.
 
     Thread safety: the CDCL solver is single-threaded state, so
@@ -145,12 +132,8 @@ class GroupEncoding:
         self.options = options
         self.dst_prefix = dst_prefix
         self.lock = threading.Lock()
-        #: queries discharged over the lifetime of this encoding (grows
-        #: across requests when the encoding is cached and reused)
-        self.queries_discharged = 0
-        #: set once a cache entry replaces this encoding; it is then
-        #: never re-inserted under its old key
-        self.superseded = False
+        #: the last query's activation literal, retired by the next one
+        self._spent_act = None
         with tracer.span("verify.encode", shared=True) as sp:
             encoder = NetworkEncoder(network, options)
             self.enc = encoder.encode(dst_prefix=dst_prefix)
@@ -166,17 +149,18 @@ class GroupEncoding:
         """Byte-size estimate for cache budgeting.
 
         Exact deep sizes of term graphs are unaffordable to compute;
-        this estimate is linear in the CNF size.  The constants were
-        fitted to the bytes tracemalloc sees freed when a warm group
-        (one reachability query discharged) is dropped, on pods-2
-        fat-tree groups (~2,170 vars / 6,750 clauses, ~1.5-1.6 MB) and
-        3- to 6-router cloud-corpus groups (2,100-5,100 vars, 1.4-3.4
-        MB), at failure bounds 0 and 1: every estimate lies within
-        0.83-1.07x of its measurement.  Vars and clauses grow almost in
-        proportion, so the split between the two terms is loose.
+        this estimate is linear in the CNF variables and the learnt
+        clauses kept.  The constants were fitted to the bytes
+        tracemalloc sees freed when a warm group (one reachability
+        query discharged) is dropped, at failure bounds 0 and 1:
+        pods-2 fat-tree groups (~2,170 vars, 1.5-1.7 MB), 3- to
+        6-router cloud-corpus groups (2,080-5,140 vars, 1.4-3.2 MB) and
+        cloud networks 11 and 2 (9,400-10,600 vars, 1,000-6,460 learnt
+        clauses, 7.1-9.9 MB): every estimate lies within 0.90-1.10x of
+        its measurement.  Problem clauses grow with vars.
         """
-        return (4096 + 560 * self.solver.num_variables
-                + 20 * self.solver.num_clauses)
+        return (4096 + 670 * self.solver.num_variables
+                + 450 * self.solver.stats["learned"])
 
     def solve_one(self, query: "BatchQuery", tracer=None,
                   shared_share: float = 0.0) -> VerificationResult:
@@ -199,16 +183,20 @@ class GroupEncoding:
             raise ValueError(f"query {query.name()} needs k={k}, "
                              f"but the encoding bounds failures at {bound}")
         with self.lock:
-            self.queries_discharged += 1
             qspan = tracer.span("batch.query", query=query.name(),
                                 max_failures=k)
             with qspan:
                 with tracer.span("verify.property",
                                  property=query.name()) as sp_query:
+                    if self._spent_act is not None:
+                        # Retired here rather than after the last check,
+                        # so the CNF buffer stays empty between queries.
+                        solver.add(not_(self._spent_act),
+                                   label="instrumentation")
                     prop_term = prop.encode(enc)
                     instrumentation = enc.constraints_since(self.base_mark)
                     enc.rollback(self.base_mark)
-                    act = enc.fresh_bool("batch.act")
+                    act = self._spent_act = enc.fresh_bool("batch.act")
                     solver.add(*[implies(act, c) for c in instrumentation],
                                label="instrumentation")
                     # A lazy property has no term to negate (it encodes
@@ -291,7 +279,8 @@ class BatchEngine:
         # soundness argument behind the keys.
         self.verdict_cache = verdict_cache
         # Cross-run reuse of whole group encodings: an object with
-        # ``get(key)`` / ``put(key, value, size_bytes)`` (e.g.
+        # ``get(key)``, ``put(key, value, size_bytes)`` and
+        # ``resize(key, value, size_bytes)`` (e.g.
         # ``repro.serve.TTLLRUCache``) holding :class:`GroupEncoding`
         # instances.  ``encoding_scope`` namespaces the keys (the
         # service uses ``{tenant}/{snapshot}/``) so unrelated networks
@@ -439,25 +428,16 @@ class BatchEngine:
         old = self.encoding_cache.get(ckey)
         metrics = obs.metrics()
         if old is not None:
-            if old.options.max_failures < options.max_failures:
-                metrics.counter("engine.encoding_bound_raised").inc()
-            elif old.queries_discharged < _GROUP_RECYCLE_QUERIES:
+            if old.options.max_failures >= options.max_failures:
                 self.last_encoding_stats["hits"] += 1
                 metrics.counter("engine.encoding_cache_hit").inc()
                 return old, True
-            else:
-                # Too much inert per-query instrumentation has piled up
-                # in the shared solver; rebuild rather than keep
-                # degrading.
-                metrics.counter("engine.encoding_recycled").inc()
+            metrics.counter("engine.encoding_bound_raised").inc()
         self.last_encoding_stats["misses"] += 1
         metrics.counter("engine.encoding_cache_miss").inc()
         group = GroupEncoding(self.network, options,
                               self.conflict_budget, dst)
-        with _CACHE_PUT_LOCK:
-            if old is not None:
-                old.superseded = True
-            self.encoding_cache.put(ckey, group, group.cache_size())
+        self.encoding_cache.put(ckey, group, group.cache_size())
         return group, False
 
     def _run_group(self, dst: _GroupKey,
@@ -474,17 +454,11 @@ class BatchEngine:
                            self.conflict_budget, dst, members,
                            group=group, group_reused=reused)
         if group is not None:
-            # This run's queries grew the solver's clause DB; re-insert
-            # with a fresh size estimate so the cache's byte accounting
-            # tracks the entry's real footprint over its lifetime (an
-            # entry grown past the whole budget gets dropped here and
-            # rebuilt fresh by the next request).  A concurrent run may
-            # have replaced it meanwhile (larger bound, recycle); then
-            # the replacement stays.
-            with _CACHE_PUT_LOCK:
-                if not group.superseded:
-                    self.encoding_cache.put(ckey, group,
-                                            group.cache_size())
+            # This run's queries grew the encoding (learnt clauses,
+            # Tseitin gates, retire units).  ``resize`` re-measures it
+            # only while ``ckey`` still holds it, so an encoding that was
+            # replaced or evicted meanwhile is not put back.
+            self.encoding_cache.resize(ckey, group, group.cache_size())
         return out
 
     def _run_parallel(self, groups, results) -> bool:

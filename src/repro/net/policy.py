@@ -157,10 +157,6 @@ class RouteMapClause:
     delete_communities: Tuple[str, ...] = ()
     line: Optional[int] = field(default=None, compare=False, repr=False)
 
-    def has_match(self) -> bool:
-        return (self.match_prefix_list is not None
-                or self.match_community_list is not None)
-
 
 @dataclass(frozen=True)
 class RouteMap:

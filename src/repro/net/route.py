@@ -55,10 +55,6 @@ class Route:
     originator: Optional[str] = None      # route-reflector originator
     drop: bool = False                    # Null0 static: explicit discard
 
-    @property
-    def prefix_text(self) -> str:
-        return iplib.format_prefix(self.network, self.length)
-
     def covers(self, address: int) -> bool:
         """Longest-prefix-match containment test."""
         return iplib.prefix_contains(self.network, self.length, address)

@@ -22,8 +22,9 @@ for built networks.  Scoping does double duty:
 Eviction: entries expire ``ttl_seconds`` after last use (lazily, on
 access or insert) and the least-recently-used entries are evicted when
 the byte budget overflows.  Sizes are caller-supplied estimates (see
-``GroupEncoding.cache_size``); an entry larger than the whole budget
-is refused outright rather than evicting everything else.
+``GroupEncoding.cache_size``), re-measured by ``resize`` only while
+the key still holds the same value.  An entry larger than the whole
+budget is refused outright rather than evicting everything else.
 
 All mutation happens under one lock — the daemon's
 ``ThreadingHTTPServer`` handles each request on its own thread.
@@ -58,7 +59,8 @@ class TTLLRUCache:
 
     Satisfies the duck-typed interface of
     :class:`~repro.core.engine.BatchEngine`'s ``encoding_cache``:
-    ``get(key)`` and ``put(key, value, size_bytes)``.
+    ``get(key)``, ``put(key, value, size_bytes)`` and
+    ``resize(key, value, size_bytes)``.
     """
 
     def __init__(
@@ -112,6 +114,28 @@ class TTLLRUCache:
                 break
             self._drop(key, "ttl")
 
+    def _store(
+        self, key: str, value: Any, size_bytes: int, now: float
+    ) -> bool:
+        size = max(0, int(size_bytes))
+        # A same-key replacement is an update, not an eviction.  An
+        # oversized one is refused, and must not leave a stale smaller
+        # entry shadowing it under the same key.
+        old = self._entries.pop(key, None)
+        if old is not None:
+            self.total_bytes -= old.size
+        if size > self.max_bytes:
+            self.rejected += 1
+            self._metrics().counter("serve.cache.rejected").inc()
+            self._publish_gauges()
+            return False
+        self._entries[key] = _Entry(value, size, now + self.ttl_seconds)
+        self.total_bytes += size
+        while self.total_bytes > self.max_bytes:
+            self._drop(next(iter(self._entries)), "lru")
+        self._publish_gauges()
+        return True
+
     def _publish_gauges(self) -> None:
         metrics = self._metrics()
         metrics.gauge("serve.cache.bytes").set(self.total_bytes)
@@ -140,29 +164,23 @@ class TTLLRUCache:
         """Insert (or replace) an entry; evicts LRU entries past the
         byte budget.  Returns False when the entry alone exceeds the
         whole budget and was refused."""
-        size = max(0, int(size_bytes))
         now = self._clock()
         with self._lock:
             self._expire(now)
-            if size > self.max_bytes:
-                self.rejected += 1
-                self._metrics().counter("serve.cache.rejected").inc()
-                # An oversized entry must not silently shadow a stale
-                # smaller one under the same key.
-                if key in self._entries:
-                    self._drop(key, "scope")
-                self._publish_gauges()
+            return self._store(key, value, size_bytes, now)
+
+    def resize(self, key: str, value: Any, size_bytes: int) -> bool:
+        """``put`` an entry again at a new size, but only while ``key``
+        still holds ``value``: an entry that was replaced or evicted in
+        the meantime is never put back.  Returns whether it is cached
+        afterwards."""
+        now = self._clock()
+        with self._lock:
+            self._expire(now)
+            entry = self._entries.get(key)
+            if entry is None or entry.value is not value:
                 return False
-            # A same-key replacement is an update, not an eviction.
-            old = self._entries.pop(key, None)
-            if old is not None:
-                self.total_bytes -= old.size
-            self._entries[key] = _Entry(value, size, now + self.ttl_seconds)
-            self.total_bytes += size
-            while self.total_bytes > self.max_bytes:
-                self._drop(next(iter(self._entries)), "lru")
-            self._publish_gauges()
-            return True
+            return self._store(key, value, size_bytes, now)
 
     def evict_scope(self, prefix: str) -> int:
         """Drop every entry whose key starts with ``prefix`` (snapshot

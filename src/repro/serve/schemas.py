@@ -135,19 +135,15 @@ def query_from_spec(spec: Any, index: int = 0) -> BatchQuery:
         if max_failures is not None and (
             not isinstance(max_failures, int) or max_failures < 0
         ):
-            raise ApiError(
-                400,
-                f"query {index}: max_failures must be "
-                "a non-negative integer",
-            )
+            raise ValueError("max_failures must be a non-negative integer")
         return BatchQuery(
             prop=prop,
             max_failures=max_failures,
             assumptions=tuple(P.announces(peer) for peer in announced),
             label=spec.get("label"),
         )
-    except ApiError:
-        raise
+    except ApiError as exc:
+        raise ApiError(exc.status, f"query {index}: {exc.message}") from exc
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"query {index}: {exc}") from exc
 

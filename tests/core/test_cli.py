@@ -143,6 +143,49 @@ class TestVerifyBatch:
         with pytest.raises(SystemExit):
             main(["verify-batch", config_dir, "--spec", str(spec)])
 
+    @pytest.mark.parametrize("entries, message", [
+        ('[{"property": "loops"}, {"property": "nonsense"}]',
+         "query 1: unknown property 'nonsense' (choose from reachability, "
+         "isolation, blackholes, loops, bounded-length, waypoint, "
+         "prefix-leak)"),
+        ("[1]", "query 0: expected an object, got int"),
+        ('[{"property": "loops", "dest_prefix": "10.9.0.0/24"},'
+         ' {"property": "loops", "max_failures": -1}]',
+         "query 1: max_failures must be a non-negative integer"),
+    ])
+    def test_malformed_spec_entry_exits_with_message(
+            self, config_dir, tmp_path, entries, message):
+        spec = tmp_path / "bad.json"
+        spec.write_text(entries)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-batch", config_dir, "--spec", str(spec)])
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("argv", [
+    ["show"],
+    ["verify", "reachability", "--dest-prefix", "10.9.0.0/24"],
+    ["verify-batch", "--property", "loops"],
+    ["equivalence", "R1", "R2"],
+    ["simulate", "--from", "R1", "--dst", "10.9.0.5"],
+])
+class TestConfigPathErrors:
+    def _run(self, argv, configs):
+        command, *rest = argv
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(configs), *rest])
+        return str(exc.value)
+
+    def test_not_a_directory(self, argv, tmp_path):
+        path = tmp_path / "R1.cfg"
+        path.write_text("hostname R1\n")
+        assert self._run(argv, path) == f"not a directory: {path}"
+
+    def test_no_config_files(self, argv, tmp_path):
+        (tmp_path / "notes.md").write_text("not a config\n")
+        assert self._run(argv, tmp_path).startswith(
+            f"no config files (.cfg/.conf/.txt) in {tmp_path}")
+
 
 class TestEquivalence:
     def test_equivalence_of_symmetric_routers(self, config_dir):

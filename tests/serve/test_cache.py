@@ -123,6 +123,68 @@ class TestLRU:
         # The stale small value must not survive under the key.
         assert cache.get("k") is None
 
+    def test_oversized_replacement_is_a_rejection_not_an_eviction(
+            self, clock):
+        cache = make(clock, max_bytes=100)
+        tracer = obs.Tracer()
+        with obs.use(tracer):
+            cache.put("k", "small", 10)
+            assert not cache.put("k", "huge", 500)
+        assert cache.rejected == 1
+        assert cache.evicted_scope == 0
+        assert cache.total_bytes == 0
+        assert tracer.metrics.counter(
+            "serve.cache.evicted", reason="scope").value == 0
+
+
+class TestResize:
+    def test_resize_updates_size_in_place(self, clock):
+        cache = make(clock)
+        cache.put("a", "A", 100)
+        cache.put("b", "B", 100)
+        assert cache.resize("a", "A", 300)
+        assert cache.total_bytes == 400
+        assert cache.stats()["bytes"] == 400
+        # Like a put, re-measuring makes the entry the most recent.
+        assert cache.keys() == ["b", "a"]
+
+    def test_resize_ignores_a_different_value(self, clock):
+        cache = make(clock)
+        cache.put("k", "new", 100)
+        assert not cache.resize("k", "old", 900)
+        assert cache.get("k") == "new"
+        assert cache.total_bytes == 100
+
+    def test_resize_ignores_an_absent_key(self, clock):
+        cache = make(clock)
+        cache.put("other", "x", 100)
+        assert not cache.resize("k", "v", 50)
+        assert "k" not in cache
+        assert cache.total_bytes == 100
+        assert len(cache) == 1
+
+    def test_resize_past_the_budget_drops_the_entry_as_rejected(
+            self, clock):
+        cache = make(clock, max_bytes=300)
+        cache.put("k", "v", 100)
+        cache.put("other", "x", 100)
+        assert not cache.resize("k", "v", 301)
+        assert "k" not in cache
+        assert cache.get("other") == "x"
+        assert cache.total_bytes == 100
+        assert cache.rejected == 1
+        assert (cache.evicted_scope, cache.evicted_lru) == (0, 0)
+
+    def test_resize_trims_least_recent_entries(self, clock):
+        cache = make(clock, max_bytes=300)
+        cache.put("a", 1, 100)
+        cache.put("b", 2, 100)
+        cache.put("c", 3, 100)
+        assert cache.resize("c", 3, 200)
+        assert cache.keys() == ["b", "c"]
+        assert cache.total_bytes == 300
+        assert cache.evicted_lru == 1
+
 
 class TestScopes:
     def test_evict_scope_drops_only_prefix(self, clock):

@@ -42,7 +42,7 @@ from typing import List, Optional
 
 from repro import obs
 from repro.core import BatchQuery, EncoderOptions, Verifier, properties as P
-from repro.net import load_network
+from repro.net import load_config_texts, load_network
 
 __all__ = ["main"]
 
@@ -439,22 +439,15 @@ def _cmd_show(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from pathlib import Path
-
     from repro.analysis import format_text, to_json, to_sarif
     from repro.analysis.engine import analyze_configs
 
     if args.json and args.sarif:
         raise SystemExit("--json and --sarif are mutually exclusive")
-    directory = Path(args.configs)
-    if not directory.is_dir():
-        raise SystemExit(f"not a directory: {directory}")
-    suffixes = (".cfg", ".conf", ".txt")
-    texts = {entry.name: entry.read_text()
-             for entry in sorted(directory.iterdir())
-             if entry.suffix.lower() in suffixes and entry.is_file()}
-    if not texts:
-        raise SystemExit(f"no config files in {directory}")
+    try:
+        texts = load_config_texts(args.configs)
+    except FileNotFoundError as exc:
+        raise SystemExit(str(exc)) from exc
     report = analyze_configs(texts, smt=not args.no_smt)
     if args.rules is not None:
         wanted = set(args.rules)

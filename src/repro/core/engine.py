@@ -214,7 +214,7 @@ class GroupEncoding:
                 else:
                     with tracer.span("verify.solve") as sp_solve:
                         outcome = solver.check(assumptions=assumptions)
-                    solves = [(sp_solve, solver.last_check_conflicts)]
+                    solves = [(sp_solve, solver.last_check_stats["conflicts"])]
                     unknown = None
                 result = _result(
                     query.name(), outcome, solver, tracer,
@@ -239,7 +239,7 @@ class GroupEncoding:
             with tracer.span("verify.solve",
                              lazy_iteration=iteration) as sp_solve:
                 outcome = solver.check(assumptions=assumptions)
-            solves.append((sp_solve, solver.last_check_conflicts))
+            solves.append((sp_solve, solver.last_check_stats["conflicts"]))
             if outcome is not SAT:
                 return outcome, solves, None
             model = solver.model()

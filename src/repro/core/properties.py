@@ -28,7 +28,6 @@ from repro.smt import (
     eq,
     iff,
     implies,
-    ite,
     not_,
     or_,
     ule,
@@ -67,9 +66,14 @@ class Property:
     #: minimum number of failures the encoding must model
     failures_needed: int = 0
 
+    #: the destination prefix the packet is restricted to, if any
+    dest_prefix_text: Optional[str] = None
+
     def dst_prefix(self) -> Optional[Tuple[int, int]]:
         """Optional (network, length) restriction on the packet."""
-        return None
+        if self.dest_prefix_text is None:
+            return None
+        return iplib.parse_prefix(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         """Add instrumentation to ``enc`` and return the property term P."""
@@ -144,12 +148,6 @@ def _delivery_base(enc: EncodedNetwork,
     return base
 
 
-def _parse_dst(prefix: Optional[str]) -> Optional[Tuple[int, int]]:
-    if prefix is None:
-        return None
-    return iplib.parse_prefix(prefix)
-
-
 # ---------------------------------------------------------------------------
 # Reachability / isolation
 # ---------------------------------------------------------------------------
@@ -172,9 +170,6 @@ class Reachability(Property):
     def __post_init__(self):
         if self.dest_prefix_text is None and self.dest_peer is None:
             raise ValueError("Reachability needs a destination")
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def source_list(self, enc: EncodedNetwork) -> List[str]:
         if self.sources == "all":
@@ -204,9 +199,6 @@ class Isolation(Property):
     dest_peer: Optional[str] = None
     failures_needed: int = 0
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     def encode(self, enc: EncodedNetwork) -> Term:
         base = _delivery_base(enc, self.dest_peer)
         reach = reach_instrumentation(enc, base, tag="iso")
@@ -233,9 +225,6 @@ class Waypointing(Property):
     waypoints: Sequence[str] = ()
     dest_prefix_text: Optional[str] = None
     dest_peer: Optional[str] = None
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         base = _delivery_base(enc, self.dest_peer)
@@ -281,9 +270,6 @@ class BoundedPathLength(Property):
     dest_prefix_text: Optional[str] = None
     dest_peer: Optional[str] = None
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     def encode(self, enc: EncodedNetwork) -> Term:
         base = _delivery_base(enc, self.dest_peer)
         reach = reach_instrumentation(enc, base, tag="bpl")
@@ -311,9 +297,6 @@ class EqualPathLengths(Property):
     routers: Sequence[str] = ()
     dest_prefix_text: Optional[str] = None
     dest_peer: Optional[str] = None
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         base = _delivery_base(enc, self.dest_peer)
@@ -345,9 +328,6 @@ class DisjointPaths(Property):
     router_b: str = ""
     dest_prefix_text: Optional[str] = None
     dest_peer: Optional[str] = None
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         used = {}
@@ -403,9 +383,6 @@ class NoForwardingLoops(Property):
     candidates: Optional[Sequence[str]] = None
     dest_prefix_text: Optional[str] = None
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     @staticmethod
     def default_candidates(enc: EncodedNetwork) -> List[str]:
         from repro.analysis.dataflow import loop_candidates
@@ -449,9 +426,6 @@ class NoBlackHoles(Property):
     allowed: Sequence[str] = ()
     dest_prefix_text: Optional[str] = None
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     def encode(self, enc: EncodedNetwork) -> Term:
         allowed = set(self.allowed)
         parts = []
@@ -490,9 +464,6 @@ class MultipathConsistency(Property):
     dest_prefix_text: Optional[str] = None
     dest_peer: Optional[str] = None
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     def encode(self, enc: EncodedNetwork) -> Term:
         base = _delivery_base(enc, self.dest_peer)
         reach = reach_instrumentation(enc, base, tag="mpc")
@@ -525,9 +496,6 @@ class NeighborPreference(Property):
     router: str = ""
     peers_in_order: Sequence[str] = ()
     dest_prefix_text: Optional[str] = None
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         parts = []
@@ -567,9 +535,6 @@ class PathPreference(Property):
     preferred: Sequence[str] = ()      # routers, traffic order
     fallback: Sequence[str] = ()
     dest_prefix_text: Optional[str] = None
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         fallback_used = and_(*[
@@ -614,9 +579,6 @@ class NoPrefixLeak(Property):
     routers: Optional[Sequence[str]] = None
     dest_prefix_text: Optional[str] = None
 
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
-
     def encode(self, enc: EncodedNetwork) -> Term:
         parts = []
         self._leaks = {}
@@ -654,9 +616,6 @@ class LoadBalanced(Property):
     dest_prefix_text: Optional[str] = None
 
     lazy = True  # checked per stable state by GroupEncoding.solve_one
-
-    def dst_prefix(self):
-        return _parse_dst(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
         # No boolean property term: the verifier enumerates stable states

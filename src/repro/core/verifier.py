@@ -13,10 +13,14 @@ Before that, like every batch query, it asks
 verdict; such a query is answered from the simulated stable state with
 ``method="simulation"`` and never encoded.
 
-Also implements the §5 checks that need two encodings (fault-invariance
-and full equivalence) and fronts the local-equivalence check.  Every
-check maps its solver outcome to a :class:`VerificationResult` through
-one helper, :func:`_result`.
+Also implements the one-shot §5 checks — fault invariance (plain and
+pairwise), full equivalence and local equivalence.  Each encodes two
+network copies, or two isolated routers, over one shared packet and
+environment and asserts that something differs between them; all of
+them run through one runner, :func:`_check`, and both fault-invariance
+forms share one two-copy comparison.  Every check, batch queries
+included, maps its solver outcome to a :class:`VerificationResult`
+through one helper, :func:`_result`.
 """
 
 from __future__ import annotations
@@ -94,17 +98,12 @@ def _span_stats(seconds: float, shared_seconds: float, sp_query, solves,
 
 
 def _budget_message(solver: Solver) -> str:
-    """UNKNOWN diagnostics, fed by the solver's periodic progress hook."""
-    msg = (f"conflict budget exhausted after "
-           f"{solver.last_check_conflicts} conflicts")
-    samples = solver.last_check_progress
-    if samples:
-        last = samples[-1]
-        msg += (f" (at last sample: {last['decisions']} decisions, "
-                f"{last['propagations']} propagations, "
-                f"{last['restarts']} restarts, "
-                f"{last['learned']} learned clauses)")
-    return msg
+    """UNKNOWN diagnostics: this check's own search counters."""
+    stats = solver.last_check_stats
+    return (f"conflict budget exhausted after {stats['conflicts']} "
+            f"conflicts ({stats['decisions']} decisions, "
+            f"{stats['propagations']} propagations, "
+            f"{stats['restarts']} restarts)")
 
 
 @dataclass
@@ -185,13 +184,34 @@ def _result(name: str, outcome, solver: Solver, tracer,
                               message=message)
 
 
-def _with_stats(result: VerificationResult, root, sp_shared, sp_query,
-                sp_solve, solver: Solver) -> VerificationResult:
-    """``result`` with the cost statistics of a query that ran one
-    check under ``root``."""
+def _check(name: str, span: str, attrs: Dict,
+           encode: Callable[[], Tuple[Solver, object]],
+           instrument: Callable[[Solver, object],
+                                Tuple[Term, Callable]]
+           ) -> VerificationResult:
+    """Run one one-shot check under a root span named ``span``.
+
+    ``encode() -> (solver, state)`` builds the loaded solver (span
+    ``verify.encode``); ``instrument(solver, state) -> (term, explain)``
+    adds the check's instrumentation and returns the property term,
+    asserted with label ``property`` (span ``verify.property``), plus the
+    ``explain`` callback :func:`_result` reads a counterexample with.
+    The solve runs under ``verify.solve``.
+    """
+    tracer = _query_tracer()
+    root = tracer.span(span, **attrs)
+    with root:
+        with tracer.span("verify.encode") as sp_shared:
+            solver, state = encode()
+        with tracer.span("verify.property", property=name) as sp_query:
+            term, explain = instrument(solver, state)
+            solver.add(term, label="property")
+        with tracer.span("verify.solve") as sp_solve:
+            outcome = solver.check()
+        result = _result(name, outcome, solver, tracer, explain)
     return replace(result, **_span_stats(
         root.duration, sp_shared.duration, sp_query,
-        [(sp_solve, solver.last_check_conflicts)], solver))
+        [(sp_solve, solver.last_check_stats["conflicts"])], solver))
 
 
 class Verifier:
@@ -344,102 +364,81 @@ class Verifier:
         when it holds under any ``k`` failures (two encoding copies with a
         shared environment)."""
         name = f"FaultInvariance[{type(prop).__name__}, k={k}]"
+        return self._compare_under_failures(
+            name, "verify.fault_invariance", k,
+            replace(self.options, max_failures=k), prop.dst_prefix(),
+            lambda enc, tag: {name: prop.encode(enc)},
+            "behaviour differs when links {failed} fail")
+
+    def verify_pairwise_fault_invariance(self, k: int = 1,
+                                         dest_prefix: Optional[str] = None,
+                                         ) -> VerificationResult:
+        """All router pairs are reachable exactly when they are reachable
+        after any single failure (the paper's fourth real-network check,
+        §8.1).
+
+        One query: reach bits are instrumented in both copies and required
+        to agree for every source.
+        """
+        # Failures range over internal links: an external session flap
+        # changes the environment, not the network, and both copies
+        # share one environment (matching the paper's zero-violation
+        # finding).
+        return self._compare_under_failures(
+            f"PairwiseFaultInvariance[k={k}]",
+            "verify.pairwise_fault_invariance", k,
+            replace(self.options, max_failures=k, fail_external=False),
+            iplib.parse_prefix(dest_prefix) if dest_prefix else None,
+            lambda enc, tag: reach_instrumentation(
+                enc, {r: enc.local_deliver.get(r, FALSE)
+                      for r in enc.routers()}, tag=tag),
+            "reachability of {diff} changes under failure")
+
+    def _compare_under_failures(
+            self, name: str, span: str, k: int, failing: EncoderOptions,
+            dst_prefix, observe: Callable[[EncodedNetwork, str],
+                                          Dict[str, Term]],
+            message: str) -> VerificationResult:
+        """The two-copy fault-invariance comparison: a failure-free copy
+        and a copy encoded with ``failing``, over one packet and one
+        environment, differ on some key of their observations
+        ``observe(enc, tag) -> {key: term}``.  ``message`` is formatted
+        with the links that failed (``failed``) and the keys that
+        differ (``diff``)."""
         base = replace(self.options, max_failures=0)
-        failing = replace(self.options, max_failures=k)
-        tracer = _query_tracer()
-        root = tracer.span("verify.fault_invariance", property=name, k=k)
-        with root:
-            with tracer.span("verify.encode") as sp_shared:
-                enc0 = NetworkEncoder(self.network, base).encode(
-                    dst_prefix=prop.dst_prefix(), ns="c0.")
-                enc1 = NetworkEncoder(self.network, failing).encode(
-                    dst_prefix=prop.dst_prefix(), ns="c1.")
-                solver = self._load_copies(enc0, enc1)
-                mark0 = enc0.checkpoint()
-                mark1 = enc1.checkpoint()
-            with tracer.span("verify.property", property=name) as sp_query:
-                term0 = prop.encode(enc0)
-                term1 = prop.encode(enc1)
-                solver.add(*enc0.constraints_since(mark0),
-                           label="instrumentation")
-                solver.add(*enc1.constraints_since(mark1),
-                           label="instrumentation")
-                solver.add(not_(iff(term0, term1)), label="property")
-            with tracer.span("verify.solve") as sp_solve:
-                outcome = solver.check()
+
+        def encode():
+            enc0 = NetworkEncoder(self.network, base).encode(
+                dst_prefix, ns="c0.")
+            enc1 = NetworkEncoder(self.network, failing).encode(
+                dst_prefix, ns="c1.")
+            solver = self._load_copies(enc0, enc1)
+            return solver, (enc0, enc1)
+
+        def instrument(solver, copies):
+            enc0, enc1 = copies
+            mark0, mark1 = enc0.checkpoint(), enc1.checkpoint()
+            obs0, obs1 = observe(enc0, "fi0"), observe(enc1, "fi1")
+            solver.add(*enc0.constraints_since(mark0),
+                       label="instrumentation")
+            solver.add(*enc1.constraints_since(mark1),
+                       label="instrumentation")
 
             def explain(model):
                 failed = [key for key, term in enc1.failed.items()
                           if model.eval(term)]
                 failed += [key for key, term in enc1.failed_ext.items()
                            if model.eval(term)]
+                diff = [key for key in obs0
+                        if model.eval(obs0[key]) != model.eval(obs1[key])]
                 return (extract_counterexample(enc1, model),
-                        f"behaviour differs when links {failed} fail")
+                        message.format(failed=failed, diff=diff))
 
-            result = _result(name, outcome, solver, tracer, explain)
-        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
-                           solver)
+            return or_(*[not_(iff(obs0[key], obs1[key]))
+                         for key in obs0]), explain
 
-    # ------------------------------------------------------------------
-    # Pairwise fault-invariant reachability (the §8.1 check)
-    # ------------------------------------------------------------------
-
-    def verify_pairwise_fault_invariance(self, k: int = 1,
-                                         dest_prefix: Optional[str] = None,
-                                         ) -> VerificationResult:
-        """All router pairs are reachable exactly when they are reachable
-        after any single failure (the paper's fourth real-network check).
-
-        One query: reach bits are instrumented in both copies and required
-        to agree for every source.
-        """
-        name = f"PairwiseFaultInvariance[k={k}]"
-        base = replace(self.options, max_failures=0)
-        # Failures range over internal links: an external session flap
-        # changes the environment, not the network, and both copies
-        # share one environment (matching the paper's zero-violation
-        # finding).
-        failing = replace(self.options, max_failures=k,
-                          fail_external=False)
-        prefix = iplib.parse_prefix(dest_prefix) if dest_prefix else None
-        tracer = _query_tracer()
-        root = tracer.span("verify.pairwise_fault_invariance",
-                           property=name, k=k)
-        with root:
-            with tracer.span("verify.encode") as sp_shared:
-                enc0 = NetworkEncoder(self.network, base).encode(
-                    prefix, ns="c0.")
-                enc1 = NetworkEncoder(self.network, failing).encode(
-                    prefix, ns="c1.")
-                solver = self._load_copies(enc0, enc1)
-                mark0 = enc0.checkpoint()
-                mark1 = enc1.checkpoint()
-            with tracer.span("verify.property", property=name) as sp_query:
-                reach0 = reach_instrumentation(
-                    enc0, {r: enc0.local_deliver.get(r, FALSE)
-                           for r in enc0.routers()}, tag="fi0")
-                reach1 = reach_instrumentation(
-                    enc1, {r: enc1.local_deliver.get(r, FALSE)
-                           for r in enc1.routers()}, tag="fi1")
-                solver.add(*enc0.constraints_since(mark0),
-                           label="instrumentation")
-                solver.add(*enc1.constraints_since(mark1),
-                           label="instrumentation")
-                solver.add(or_(*[not_(iff(reach0[r], reach1[r]))
-                                 for r in enc0.routers()]),
-                           label="property")
-            with tracer.span("verify.solve") as sp_solve:
-                outcome = solver.check()
-
-            def explain(model):
-                diff = [r for r in enc0.routers()
-                        if model.eval(reach0[r]) != model.eval(reach1[r])]
-                return (extract_counterexample(enc1, model),
-                        f"reachability of {diff} changes under failure")
-
-            result = _result(name, outcome, solver, tracer, explain)
-        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
-                           solver)
+        return _check(name, span, {"property": name, "k": k}, encode,
+                      instrument)
 
     # ------------------------------------------------------------------
     # Local equivalence (§5): isolated routers on symbolic inputs
@@ -472,36 +471,29 @@ class Verifier:
         """Are two whole networks behaviourally equivalent?  External
         peers are paired by name; all data-plane forwarding decisions and
         exports to externals must agree."""
-        tracer = _query_tracer()
-        name = "FullEquivalence"
-        root = tracer.span("verify.full_equivalence")
-        with root:
-            with tracer.span("verify.encode") as sp_shared:
-                enc_a = NetworkEncoder(self.network,
-                                       self.options).encode(ns="A.")
-                enc_b = NetworkEncoder(other, self.options).encode(ns="B.")
-                solver = self._load_copies(enc_a, enc_b)
-            with tracer.span("verify.property", property=name) as sp_query:
-                differences: List[Term] = []
-                for key in set(enc_a.fwd) | set(enc_b.fwd):
-                    differences.append(not_(iff(enc_a.data_fwd(*key),
-                                                enc_b.data_fwd(*key))))
-                for key in (set(enc_a.export_to_ext)
-                            & set(enc_b.export_to_ext)):
-                    rec_a = enc_a.export_to_ext[key]
-                    rec_b = enc_b.export_to_ext[key]
-                    differences.append(not_(and_(
-                        *enc_a.factory.equate(rec_a, rec_b))))
-                solver.add(or_(*differences) if differences else FALSE,
-                           label="property")
-            with tracer.span("verify.solve") as sp_solve:
-                outcome = solver.check()
-            result = _result(
-                name, outcome, solver, tracer,
-                lambda model: (extract_counterexample(enc_a, model),
-                               "networks diverge on some packet/environment"))
-        return _with_stats(result, root, sp_shared, sp_query, sp_solve,
-                           solver)
+        def encode():
+            enc_a = NetworkEncoder(self.network, self.options).encode(ns="A.")
+            enc_b = NetworkEncoder(other, self.options).encode(ns="B.")
+            return self._load_copies(enc_a, enc_b), (enc_a, enc_b)
+
+        def instrument(solver, copies):
+            enc_a, enc_b = copies
+            # Sorted, so term ids (and the search) never follow the
+            # string-hash order.
+            differences: List[Term] = [
+                not_(iff(enc_a.data_fwd(*key), enc_b.data_fwd(*key)))
+                for key in sorted(set(enc_a.fwd) | set(enc_b.fwd))]
+            for key in sorted(set(enc_a.export_to_ext)
+                              & set(enc_b.export_to_ext)):
+                differences.append(not_(and_(*enc_a.factory.equate(
+                    enc_a.export_to_ext[key], enc_b.export_to_ext[key]))))
+            return (or_(*differences) if differences else FALSE,
+                    lambda model: (
+                        extract_counterexample(enc_a, model),
+                        "networks diverge on some packet/environment"))
+
+        return _check("FullEquivalence", "verify.full_equivalence", {},
+                      encode, instrument)
 
     # ------------------------------------------------------------------
 

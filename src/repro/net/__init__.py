@@ -9,7 +9,7 @@ from .device import (
     OspfConfig,
     StaticRoute,
 )
-from .loader import load_network, network_from_texts
+from .loader import load_config_texts, load_network, network_from_texts
 from .policy import (
     Acl,
     AclRule,
@@ -31,5 +31,5 @@ __all__ = [
     "Acl", "AclRule", "PrefixList", "PrefixListEntry",
     "CommunityList", "RouteMap", "RouteMapClause", "PERMIT", "DENY",
     "Route", "Network", "Edge", "ExternalPeer",
-    "load_network", "network_from_texts",
+    "load_config_texts", "load_network", "network_from_texts",
 ]

@@ -58,19 +58,3 @@ class Route:
     def covers(self, address: int) -> bool:
         """Longest-prefix-match containment test."""
         return iplib.prefix_contains(self.network, self.length, address)
-
-    def preference_key(self) -> tuple:
-        """Total order used by the route selection process (smaller wins).
-
-        Mirrors the symbolic ordering in the encoder: lower administrative
-        distance, then higher local preference, then lower metric, then
-        lower MED, then eBGP over iBGP, then lower neighbor router id.
-        """
-        return (
-            self.ad,
-            -self.local_pref,
-            self.metric,
-            self.med,
-            1 if self.bgp_internal else 0,
-            self.router_id,
-        )

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import BatchQuery, properties as P
+from repro.net import load_config_texts
 
 __all__ = [
     "ApiError",
@@ -228,17 +229,12 @@ def parse_snapshot_body(
         )
     if not base.is_dir():
         raise ApiError(400, f"not a directory: {directory}")
-    suffixes = (".cfg", ".conf", ".txt")
-    texts = {}
-    for entry in sorted(base.iterdir()):
-        if entry.suffix.lower() not in suffixes or not entry.is_file():
-            continue
+    try:
         # A symlink inside the root must not read a file outside it.
-        if root not in entry.resolve().parents:
-            continue
-        texts[entry.name] = entry.read_text()
-    if not texts:
-        raise ApiError(400, f"no config files in {directory}")
+        texts = load_config_texts(
+            base, accept=lambda entry: root in entry.resolve().parents)
+    except FileNotFoundError:
+        raise ApiError(400, f"no config files in {directory}") from None
     return texts, name
 
 

@@ -16,8 +16,7 @@ representations.  See docs/SOLVER.md for the contract.
 
 from __future__ import annotations
 
-from typing import (Callable, Dict, Iterable, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .lits import ensure_lits
 from .preprocess import (
@@ -85,8 +84,6 @@ class ReferenceSatSolver:
         self.pp_restored_vars = 0
         self.inprocess_runs = 0
         self.inprocess_removed = 0
-        self.progress_hook: Optional[Callable[[Dict[str, int]], None]] = None
-        self.progress_interval = 0
 
     def stats(self) -> Dict[str, int]:
         """Snapshot of the search and preprocessing counters."""
@@ -603,20 +600,11 @@ class ReferenceSatSolver:
         conflicts_here = 0
         max_learnts = max(2000, len(self._clauses) // 2)
 
-        progress_interval = self.progress_interval
-        progress_hook = self.progress_hook
-
         while True:
             conflict = self._propagate()
             if conflict is not None:
                 self.conflicts += 1
                 conflicts_here += 1
-                if (progress_interval and progress_hook is not None
-                        and self.conflicts % progress_interval == 0):
-                    snapshot = self.stats()
-                    if budget_left is not None:
-                        snapshot["budget_left"] = budget_left
-                    progress_hook(snapshot)
                 if budget_left is not None:
                     budget_left -= 1
                     if budget_left <= 0:

@@ -123,9 +123,6 @@ class Solver:
     Args:
         conflict_budget: optional per-check CDCL conflict cap; exceeded
             checks return :data:`UNKNOWN`.
-        progress_interval: sample the CDCL counters every N conflicts
-            during :meth:`check` (see ``last_check_progress``); 0 turns
-            sampling off entirely.
         preprocess: run the SatELite-style CNF simplification pipeline
             (subsumption, self-subsuming resolution, pure-literal and
             bounded variable elimination) before search.  The facade
@@ -136,7 +133,6 @@ class Solver:
     """
 
     def __init__(self, conflict_budget: Optional[int] = None,
-                 progress_interval: int = 4096,
                  preprocess: bool = True) -> None:
         self._blaster = Blaster()
         self._cnf = CnfBuilder()
@@ -150,12 +146,11 @@ class Solver:
         # don't re-blast or re-emit gate clauses per call.
         self._assumption_lit_cache: Dict[int, int] = {}
         self.conflict_budget = conflict_budget
-        self.progress_interval = progress_interval
         self.last_check_seconds = 0.0
-        self.last_check_conflicts = 0
-        # Periodic CDCL snapshots from the most recent check — the data
-        # behind conflict-budget burn-down diagnostics on UNKNOWN.
-        self.last_check_progress: List[Dict[str, int]] = []
+        # This check's own CDCL counters (conflicts, decisions,
+        # propagations, restarts), not the solver's lifetime totals —
+        # the data behind the diagnostics of an UNKNOWN answer.
+        self.last_check_stats: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -224,10 +219,6 @@ class Solver:
                     before_pp = sat.stats()
                     sat.simplify(loaded=loaded)
                     self._record_preprocess(sp_pp, before_pp, sat.stats())
-        progress = self.last_check_progress = []
-        if self.progress_interval:
-            sat.progress_interval = self.progress_interval
-            sat.progress_hook = progress.append
         with obs.span("sat.solve", assumptions=len(assumption_lits)) as sp:
             before = sat.stats()
             start = time.perf_counter()
@@ -235,17 +226,13 @@ class Solver:
                                 conflict_budget=self.conflict_budget)
             self.last_check_seconds = time.perf_counter() - start
             after = sat.stats()
-            sat.progress_hook = None
-            self.last_check_conflicts = (after["conflicts"]
-                                         - before["conflicts"])
+            delta = self.last_check_stats = {
+                key: after[key] - before[key]
+                for key in ("conflicts", "decisions", "propagations",
+                            "restarts")}
             result = (UNKNOWN if outcome is None
                       else SAT if outcome else UNSAT)
-            sp.set(outcome=result.name,
-                   conflicts=self.last_check_conflicts,
-                   decisions=after["decisions"] - before["decisions"],
-                   propagations=(after["propagations"]
-                                 - before["propagations"]),
-                   restarts=after["restarts"] - before["restarts"])
+            sp.set(outcome=result.name, **delta)
             metrics = obs.metrics()
             if metrics.enabled:
                 for key in ("conflicts", "decisions", "propagations",

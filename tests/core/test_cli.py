@@ -164,6 +164,7 @@ class TestVerifyBatch:
 
 @pytest.mark.parametrize("argv", [
     ["show"],
+    ["analyze"],
     ["verify", "reachability", "--dest-prefix", "10.9.0.0/24"],
     ["verify-batch", "--property", "loops"],
     ["equivalence", "R1", "R2"],

@@ -13,6 +13,7 @@ from repro.net import (
     RouteMapClause,
 )
 from repro.net import ip as iplib
+from repro.sim.decision import overall_best, protocol_key
 
 
 def ip(text):
@@ -173,27 +174,30 @@ class TestRouteMap:
 
 
 class TestRoutePreference:
+    """The simulator's route-selection order (:mod:`repro.sim.decision`)."""
+
     def test_lower_ad_wins(self):
-        a = route().__class__(**{**route().__dict__, "ad": 20})
-        b = route().__class__(**{**route().__dict__, "ad": 110})
-        assert a.preference_key() < b.preference_key()
+        ebgp = [route()]
+        ospf = [Route(**{**route().__dict__, "protocol": "ospf", "ad": 110})]
+        assert overall_best([ospf, ebgp]) == ebgp
+        assert overall_best([ebgp, ospf]) == ebgp
 
     def test_higher_local_pref_wins_within_ad(self):
         base = route()
         hi = Route(**{**base.__dict__, "local_pref": 200})
         lo = Route(**{**base.__dict__, "local_pref": 100})
-        assert hi.preference_key() < lo.preference_key()
+        assert protocol_key(hi) < protocol_key(lo)
 
     def test_lower_metric_then_med_then_ebgp_then_rid(self):
         base = route().__dict__
-        assert Route(**{**base, "metric": 1}).preference_key() < \
-            Route(**{**base, "metric": 2}).preference_key()
-        assert Route(**{**base, "med": 0}).preference_key() < \
-            Route(**{**base, "med": 9}).preference_key()
-        assert Route(**{**base, "bgp_internal": False}).preference_key() < \
-            Route(**{**base, "bgp_internal": True}).preference_key()
-        assert Route(**{**base, "router_id": 1}).preference_key() < \
-            Route(**{**base, "router_id": 2}).preference_key()
+        assert protocol_key(Route(**{**base, "metric": 1})) < \
+            protocol_key(Route(**{**base, "metric": 2}))
+        assert protocol_key(Route(**{**base, "med": 0})) < \
+            protocol_key(Route(**{**base, "med": 9}))
+        assert protocol_key(Route(**{**base, "bgp_internal": False})) < \
+            protocol_key(Route(**{**base, "bgp_internal": True}))
+        assert protocol_key(Route(**{**base, "router_id": 1})) < \
+            protocol_key(Route(**{**base, "router_id": 2}))
 
     def test_covers_longest_prefix(self):
         r = route("10.1.0.0/16")

@@ -141,6 +141,21 @@ class TestLifecycle:
             assert status == 403
             assert "outside the allowed root" in doc["error"]
 
+    def test_directory_symlink_out_of_root_is_not_read(self, start_server,
+                                                       tmp_path):
+        root = tmp_path / "root"
+        (root / "configs").mkdir(parents=True)
+        (tmp_path / "secret.cfg").write_text("hostname LEAK")
+        (root / "configs" / "leak.cfg").symlink_to(tmp_path / "secret.cfg")
+        (root / "R1.cfg").write_text("hostname R1")
+        server = start_server(local_dir_root=str(root))
+        for directory, error in (("configs", "no config files in configs"),
+                                 ("R1.cfg", "not a directory: R1.cfg")):
+            status, doc, _ = call(server, "POST", "/v1/snapshots",
+                                  {"directory": directory, "name": "evil"})
+            assert status == 400
+            assert doc["error"] == error
+
     def test_tenant_listing_is_isolated(self, server):
         call(server, "POST", "/v1/snapshots",
              {"configs": build_texts(), "name": "prod"}, tenant="t1")

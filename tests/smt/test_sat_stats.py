@@ -1,10 +1,10 @@
-"""CDCL stats surface: the stats() snapshot, monotonicity across
-checks, and the periodic progress hook behind budget diagnostics."""
+"""CDCL stats surface: the stats() snapshot and its monotonicity across
+checks."""
 
 import itertools
 import random
 
-from repro.smt import SAT, Solver, UNKNOWN, UNSAT, bv_val, bv_var, eq
+from repro.smt import SAT, Solver, bv_val, bv_var, eq
 from repro.smt.sat.solver import SatSolver
 
 STAT_KEYS = {"conflicts", "decisions", "propagations", "restarts",
@@ -63,21 +63,6 @@ def test_deletion_and_restart_counts_surface():
     assert stats["learned_deleted"] >= 0
 
 
-def test_progress_hook_fires_and_snapshots_grow():
-    solver = SatSolver()
-    _pigeonhole(solver, 7)
-    samples = []
-    solver.progress_interval = 50
-    solver.progress_hook = samples.append
-    assert solver.solve() is False
-    assert len(samples) >= 2
-    for sample in samples:
-        assert set(sample) == STAT_KEYS
-    conflicts = [s["conflicts"] for s in samples]
-    assert conflicts == sorted(conflicts)
-    assert all(c % 50 == 0 for c in conflicts)
-
-
 def test_facade_stats_expose_sat_counters():
     solver = Solver()
     x = bv_var("x", 8)
@@ -86,39 +71,6 @@ def test_facade_stats_expose_sat_counters():
     stats = solver.stats
     assert stats["vars"] > 0 and stats["clauses"] > 0
     assert STAT_KEYS <= set(stats)
-
-
-def test_facade_progress_feeds_budget_diagnostics():
-    from repro.smt.terms import and_, bool_var, not_, or_
-
-    solver = Solver(conflict_budget=60, progress_interval=25)
-    # Pigeonhole via the term language: 5 pigeons, 4 holes.
-    holes = 4
-    bits = [[bool_var(f"p{i}_{j}") for j in range(holes)]
-            for i in range(holes + 1)]
-    for row in bits:
-        solver.add(or_(*row))
-    for j in range(holes):
-        for a in range(holes + 1):
-            for b in range(a + 1, holes + 1):
-                solver.add(not_(and_(bits[a][j], bits[b][j])))
-    outcome = solver.check()
-    if outcome is UNKNOWN:
-        assert solver.last_check_progress, "samples collected"
-        last = solver.last_check_progress[-1]
-        assert last["budget_left"] >= 0
-    else:
-        assert outcome is UNSAT
-
-
-def test_progress_interval_zero_disables_sampling():
-    solver = SatSolver()
-    _pigeonhole(solver, 6)
-    fired = []
-    solver.progress_interval = 0
-    solver.progress_hook = fired.append
-    assert solver.solve() is False
-    assert fired == []
 
 
 def test_stats_monotone_across_simplify_solve_cycles():

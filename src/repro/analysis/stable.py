@@ -378,8 +378,8 @@ def _fixed_at(state, dst: Prefix, dst_ip: int, routers: List[str]) -> bool:
     It is when an up interface of the router holds the address (it
     delivers it locally), or when the router forwards it on a FIB
     entry at least as long as ``dst`` (no external route can beat it
-    on longest-prefix match) that no router-id tie chose.  With no
-    external peer at all there is no external route to beat.
+    on longest-prefix match).  With no external peer at all there is
+    no external route to beat.
     """
     network = state.network
     for router in routers:
@@ -390,10 +390,7 @@ def _fixed_at(state, dst: Prefix, dst_ip: int, routers: List[str]) -> bool:
             if network.externals:
                 return False
             continue
-        match = (routes[0].network, routes[0].length)
-        if (router, match) in state.ties:
-            return False
-        if match[1] < dst[1] and network.externals:
+        if routes[0].length < dst[1] and network.externals:
             return False
     return True
 

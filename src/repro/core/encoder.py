@@ -216,7 +216,8 @@ class NetworkEncoder:
                  options: Optional[EncoderOptions] = None) -> None:
         self.network = network
         self.options = options or EncoderOptions()
-        self.widths = Widths()
+        senders = len(network.devices) + len(network.externals)
+        self.widths = Widths(router_id=max(8, senders.bit_length()))
         with obs.span("encode.analyze"):
             self._analyze()
 
@@ -273,10 +274,7 @@ class NetworkEncoder:
             if iface.address and dev.ospf.covers(iface.address)
         )
         self._guard_ospf_metric = ospf_bound > MAX_OSPF_METRIC
-        self.router_index = {name: i + 1 for i, name in
-                             enumerate(self.network.router_names())}
-        self.peer_index = {p.name: len(self.router_index) + i + 1
-                           for i, p in enumerate(self.network.externals)}
+        self.router_index, self.peer_index = self.network.ranks
         # Packet field usage (slice unused packet variables).
         self._acl_uses = {"src": False, "proto": False, "port": False}
         for dev in devices:
@@ -1205,6 +1203,8 @@ def _igp_only_network(network: Network) -> Network:
     for dev in network.devices.values():
         clone = copymod.deepcopy(dev)
         clone.bgp = None
+        if clone.ospf is not None:  # keep the router id BGP may set
+            clone.ospf.router_id = dev.router_id
         devices.append(clone)
     return Network(devices)
 

@@ -46,14 +46,15 @@ __all__ = ["Widths", "FieldSet", "SymbolicRecord", "RecordFactory",
 
 @dataclass(frozen=True)
 class Widths:
-    """Bit widths of record fields."""
+    """Bit widths of record fields.  ``router_id`` holds a sender's
+    rank in ``Network.ranks``; the encoder widens it to fit them all."""
 
     prefix_len: int = 6
     ad: int = 8
     local_pref: int = 16
     metric: int = 16
     med: int = 16
-    router_id: int = 8     # dense index over senders, not a 32-bit id
+    router_id: int = 8
     asn: int = 32
     prefix: int = 32
 

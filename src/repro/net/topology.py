@@ -9,6 +9,7 @@ announcements the verifier ranges over.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .device import DeviceConfig, Interface
@@ -127,6 +128,20 @@ class Network:
 
     def device(self, name: str) -> DeviceConfig:
         return self.devices[name]
+
+    @cached_property
+    def ranks(self) -> Tuple[Dict[str, int], Dict[str, int]]:
+        """``(routers, peers)``: each sender's rank, from 1, in the
+        decision process's final tie-break (lower wins).  Routers go by
+        router id, external peers by address, equal ids by name; two
+        lookups, since a peer may share a router's name."""
+        senders = sorted(
+            [(dev.router_id, name, 0) for name, dev in self.devices.items()]
+            + [(p.peer_ip, p.name, 1) for p in self.externals])
+        ranks: Tuple[Dict[str, int], Dict[str, int]] = ({}, {})
+        for rank, (_, name, is_peer) in enumerate(senders, start=1):
+            ranks[is_peer][name] = rank
+        return ranks
 
     def router_names(self) -> List[str]:
         return sorted(self.devices)

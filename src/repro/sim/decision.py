@@ -12,6 +12,9 @@ Within a protocol instance the comparison is protocol specific:
 * static/connected — longest prefix handled upstream; ties broken on
   router id for determinism.
 
+A route's ``router_id`` is its sender's rank in ``Network.ranks``
+(router id, then name), the number the encoder gives the sender too.
+
 Across protocol instances the route with the lowest administrative distance
 wins (paper §3 step 5: ``bestoverall``).
 """
@@ -79,10 +82,10 @@ def select_best(routes: Sequence[Route], med_mode: str = "always",
     if not multipath:
         return [best]
     best_key = _multipath_key(best, med_mode)
-    ties = [r for r in routes if _multipath_key(r, med_mode) == best_key]
+    tied = [r for r in routes if _multipath_key(r, med_mode) == best_key]
     # Deterministic order for reproducible traces.
-    ties.sort(key=lambda r: r.router_id)
-    return ties
+    tied.sort(key=lambda r: r.router_id)
+    return tied
 
 
 def _multipath_key(route: Route, med_mode: str):

@@ -17,7 +17,7 @@ proves for all states).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.net import ip as iplib
 from repro.net.device import DeviceConfig
@@ -52,11 +52,6 @@ class SimulationResult:
     fibs: Dict[str, Dict[Prefix, List[Route]]]   # device -> prefix -> best
     converged: bool
     rounds: int
-    #: (device, prefix) where a single-path OSPF or BGP instance chose
-    #: among equal-cost routes with different next hops on router id
-    #: alone.  The encoder breaks that tie on its own router index, so
-    #: there its stable state may forward elsewhere.
-    ties: FrozenSet[Tuple[str, Prefix]] = frozenset()
 
     def fib_lookup(self, device: str, dst_ip: int) -> List[Route]:
         """Longest-prefix-match FIB lookup."""
@@ -79,8 +74,7 @@ class ControlPlaneSimulator:
         self.network = network
         self.env = environment
         self.max_rounds = max_rounds
-        self._externals = {p.name: p for p in network.externals}
-        self._ties: Set[Tuple[str, Prefix]] = set()
+        self._router_rank, self._peer_rank = network.ranks
 
     # ------------------------------------------------------------------
 
@@ -94,8 +88,6 @@ class ControlPlaneSimulator:
         converged = False
         rounds = 0
         for rounds in range(1, self.max_rounds + 1):
-            # Ties are those of the round that reads the final state.
-            self._ties = set()
             new_ribs: Dict[str, Rib] = {}
             for name, dev in self.network.devices.items():
                 new_ribs[name] = self._device_rib(name, dev, ribs, fibs)
@@ -108,7 +100,7 @@ class ControlPlaneSimulator:
             ribs, fibs = new_ribs, new_fibs
         return SimulationResult(network=self.network, environment=self.env,
                                 ribs=ribs, fibs=fibs, converged=converged,
-                                rounds=rounds, ties=frozenset(self._ties))
+                                rounds=rounds)
 
     # ------------------------------------------------------------------
     # Per-device computation for one round
@@ -223,11 +215,12 @@ class ControlPlaneSimulator:
             candidates.setdefault((route.network, route.length),
                                   []).append(route)
 
+        own = self._router_rank[name]
         # Origins: subnets of OSPF-enabled interfaces.
         for iface in self._ospf_enabled_ifaces(dev):
             offer(Route(network=iface.network, length=iface.prefix_length,
                         protocol=PROTO_OSPF, ad=DEFAULT_AD[PROTO_OSPF],
-                        metric=0))
+                        metric=0, router_id=own))
         # Redistribution into OSPF from the previous round's other RIBs.
         my_prev = prev_ribs.get(name, {})
         # A Null0 static still redistributes (blackhole origination); only
@@ -244,7 +237,7 @@ class ControlPlaneSimulator:
                     offer(Route(network=route.network, length=route.length,
                                 protocol=PROTO_OSPF,
                                 ad=DEFAULT_AD[PROTO_OSPF],
-                                metric=metric or 20))
+                                metric=metric or 20, router_id=own))
         # Learned from OSPF neighbors over live, OSPF-enabled links.
         for edge in self.network.edges_from(name):
             if self.env.link_failed(edge.source, edge.target):
@@ -268,26 +261,14 @@ class ControlPlaneSimulator:
                         network=route.network, length=route.length,
                         protocol=PROTO_OSPF, ad=DEFAULT_AD[PROTO_OSPF],
                         metric=metric,
-                        router_id=peer_dev.router_id,
+                        router_id=self._router_rank[edge.target],
                         next_hop=edge.target,
                         next_hop_ip=remote_iface.address,
                     ))
         return {
-            prefix: self._select(name, prefix, group,
-                                 multipath=dev.ospf.multipath)
+            prefix: select_best(group, multipath=dev.ospf.multipath)
             for prefix, group in candidates.items()
         }
-
-    def _select(self, name: str, prefix: Prefix, group: List[Route],
-                med_mode: str = "always",
-                multipath: bool = False) -> List[Route]:
-        """``select_best``, noting a router-id tie between next hops."""
-        best = select_best(group, med_mode=med_mode, multipath=multipath)
-        if not multipath and len(group) > 1:
-            ties = select_best(group, med_mode=med_mode, multipath=True)
-            if len({route.next_hop for route in ties}) > 1:
-                self._ties.add((name, prefix))
-        return best
 
     # -- BGP --------------------------------------------------------------
 
@@ -302,12 +283,13 @@ class ControlPlaneSimulator:
             candidates.setdefault((route.network, route.length),
                                   []).append(route)
 
+        own = self._router_rank[name]
         # Origins from ``network`` statements.
         for network, length in bgp.networks:
             offer(Route(network=network, length=length, protocol=PROTO_BGP,
                         ad=DEFAULT_AD[PROTO_BGP],
                         local_pref=DEFAULT_LOCAL_PREF, metric=0,
-                        originator=name))
+                        router_id=own, originator=name))
         # Redistribution into BGP.
         my_prev = prev_ribs.get(name, {})
         for proto, metric in bgp.redistribute.items():
@@ -319,16 +301,16 @@ class ControlPlaneSimulator:
                     offer(Route(network=route.network, length=route.length,
                                 protocol=PROTO_BGP,
                                 ad=DEFAULT_AD[PROTO_BGP],
-                                local_pref=DEFAULT_LOCAL_PREF,
-                                metric=0, med=metric, originator=name))
+                                local_pref=DEFAULT_LOCAL_PREF, metric=0,
+                                med=metric, router_id=own, originator=name))
         # Per-session imports.
         for nbr in bgp.neighbors:
             for route in self._session_imports(name, dev, nbr, prev_ribs,
                                                prev_fibs):
                 offer(route)
         selected = {
-            prefix: self._select(name, prefix, group, med_mode=bgp.med_mode,
-                                 multipath=bgp.multipath)
+            prefix: select_best(group, med_mode=bgp.med_mode,
+                                multipath=bgp.multipath)
             for prefix, group in candidates.items()
         }
         # Aggregation (§4): a covered, selected route activates the
@@ -374,7 +356,7 @@ class ControlPlaneSimulator:
                 network=ann.network, length=ann.length, protocol=PROTO_BGP,
                 ad=DEFAULT_AD[PROTO_BGP], local_pref=DEFAULT_LOCAL_PREF,
                 metric=len(ann.as_path), med=ann.med,
-                router_id=nbr.peer_ip, bgp_internal=False,
+                router_id=self._peer_rank[peer.name], bgp_internal=False,
                 next_hop=peer.name, next_hop_ip=peer.peer_ip,
                 communities=ann.communities, as_path=ann.as_path,
             )
@@ -408,7 +390,7 @@ class ControlPlaneSimulator:
             if exported is None:
                 continue
             imported = self._import_transform(dev, nbr, exported, internal,
-                                              peer_dev, peer_name)
+                                              peer_name)
             if imported is not None:
                 out.append(imported)
         return out
@@ -504,8 +486,7 @@ class ControlPlaneSimulator:
         return exported
 
     def _import_transform(self, dev: DeviceConfig, nbr, route: Route,
-                          internal: bool, peer_dev: DeviceConfig,
-                          peer_name: str) -> Optional[Route]:
+                          internal: bool, peer_name: str) -> Optional[Route]:
         from dataclasses import replace
 
         if not internal and dev.bgp.asn in route.as_path:
@@ -516,7 +497,7 @@ class ControlPlaneSimulator:
             ad=IBGP_AD if internal else DEFAULT_AD[PROTO_BGP],
             metric=len(route.as_path),
             bgp_internal=internal,
-            router_id=peer_dev.router_id,
+            router_id=self._router_rank[peer_name],
             next_hop=peer_name,
             next_hop_ip=session_ip,
             originator=route.originator if internal else peer_name,

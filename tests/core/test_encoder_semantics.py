@@ -258,6 +258,21 @@ class TestEncodingSizes:
         assert enc.failed and not enc.failed_ext
 
 
+class TestRouterIdWidth:
+    def test_router_id_width_fits_every_sender(self):
+        """320 routers and 64 peers: 384 ranks need 9 bits, and each
+        must stay a distinct constant."""
+        from repro.gen import build_fattree
+
+        encoder = NetworkEncoder(build_fattree(16).network)
+        width = encoder.widths.router_id
+        ranks = [*encoder.router_index.values(),
+                 *encoder.peer_index.values()]
+        assert len(ranks) == 384 and width == 9
+        assert len(set(ranks)) == len(ranks)
+        assert max(ranks) < 2 ** width
+
+
 class TestModelIbgpFlag:
     def test_disabling_ibgp_drops_sessions(self):
         from repro.core import properties as P

@@ -9,7 +9,7 @@ networks/environments.
 
 import pytest
 
-from repro.core.concrete import pin_environment
+from repro.core.concrete import counterexample_environment, pin_environment
 from repro.core.encoder import EncoderOptions, NetworkEncoder
 from repro.core.properties import reach_instrumentation
 from repro.gen import random_scenario
@@ -44,6 +44,12 @@ def agreement_check(network, environment, dst_ip, options=None):
             disagreements.append(
                 (router, sim_reaches, enc_reaches,
                  [t.disposition for t in traces]))
+        sim_targets = dataplane.step(router, packet)[1]
+        enc_targets = tuple(sorted(
+            target for target in enc.targets_of(router)
+            if model.eval(enc.data_fwd(router, target))))
+        if sim_targets != enc_targets:
+            disagreements.append((router, sim_targets, enc_targets))
     assert not disagreements, (
         f"dst={iplib.format_ip(dst_ip)} disagreements={disagreements}")
     return model, enc, dataplane
@@ -124,6 +130,25 @@ class TestHandBuiltAgreement:
             agreement_check(network, Environment.empty(),
                             iplib.parse_ip(dst))
 
+    def test_origin_ties_a_learned_route_on_router_id(self):
+        """R2's own OSPF route (a floating static, metric 20) ties the
+        one learned from R1 (19 plus cost 1).  R1's lower router id
+        wins in both, so R2 forwards to R1 rather than on its AD-250
+        static."""
+        from repro.net import NetworkBuilder
+        from repro.sim import Environment
+
+        b = NetworkBuilder()
+        b.link("R1", "R2")
+        for name, metric in (("R1", 19), ("R2", 20)):
+            dev = b.device(name)
+            dev.ospf_network("10.0.0.0/8")
+            dev.static_route("172.16.0.0/16", drop=True).ad = 250
+            dev.redistribute("ospf", "static", metric=metric)
+        network = b.build()
+        dst = iplib.parse_ip("172.16.0.1")
+        _, _, dataplane = agreement_check(network, Environment.empty(), dst)
+        assert dataplane.step("R2", Packet(dst_ip=dst)) == (False, ("R1",))
 
     def test_shutdown_interface_takes_no_packets(self):
         """A shut-down interface's address is not delivered locally, in
@@ -164,31 +189,51 @@ class TestRandomAgreement:
             agreement_check(scenario.network, scenario.environment, dst)
 
 
+def replay(network, cex):
+    """Simulate ``network`` under a counterexample's environment and
+    assert that every router forwards its packet as the counterexample
+    says; returns the replay's data plane."""
+    dataplane = DataPlane(simulate(network, counterexample_environment(cex)))
+    packet = Packet(dst_ip=cex.dst_ip)
+    for router in network.router_names():
+        targets = list(dataplane.step(router, packet)[1])
+        assert targets == cex.forwarding.get(router, []), router
+    return dataplane
+
+
 class TestCounterexampleReplay:
     """Verifier counterexamples replayed through the simulator must show
-    the same violation."""
+    the same violation along the same forwarding edges."""
 
     def test_hijack_counterexample_replays(self):
         from tests.core.test_verifier import TestHijack
         from repro import Verifier
         from repro.core import properties as P
-        from repro.core.concrete import counterexample_environment
 
         network = TestHijack().build().build()
         result = Verifier(network).verify(P.Reachability(
             sources=["R1"], dest_prefix_text="172.16.0.2/32"))
         assert result.holds is False
         cex = result.counterexample
-        env = counterexample_environment(cex)
-        sim_result = simulate(network, env)
-        dataplane = DataPlane(sim_result)
-        packet = Packet(dst_ip=cex.dst_ip)
-        assert not dataplane.reachable("R1", packet)
+        dataplane = replay(network, cex)
+        assert not dataplane.reachable("R1", Packet(dst_ip=cex.dst_ip))
+
+    def test_cloud_hijack_counterexample_replays(self):
+        """The hijacked management /32 reaches a router (tor2) whose two
+        equal-cost routes the router-id order decides."""
+        from repro import Verifier
+        from repro.core import properties as P
+        from repro.gen import build_cloud_network
+
+        network = build_cloud_network(31).network
+        result = Verifier(network).verify(P.Reachability(
+            sources="all", dest_prefix_text="172.16.31.2/32"))
+        assert result.holds is False
+        replay(network, result.counterexample)
 
     def test_blackhole_counterexample_replays(self):
         from repro import Verifier
         from repro.core import properties as P
-        from repro.core.concrete import counterexample_environment
         from tests.core.test_verifier import ospf_chain
 
         b, _names = ospf_chain(3)
@@ -198,8 +243,7 @@ class TestCounterexampleReplay:
             dest_prefix_text="10.9.0.0/24"))
         assert result.holds is False
         cex = result.counterexample
-        env = counterexample_environment(cex)
-        dataplane = DataPlane(simulate(network, env))
+        dataplane = replay(network, cex)
         traces = dataplane.traces("R1", Packet(dst_ip=cex.dst_ip))
         assert any(t.disposition in ("null-routed", "no-route")
                    for t in traces)

@@ -129,6 +129,31 @@ class TestMultihopIbgp:
             ExternalAnnouncement.make("EXT", "8.8.0.0/16")])
         agreement_check(network, env, iplib.parse_ip("8.8.8.8"))
 
+    def test_recursive_hop_breaks_ties_on_the_bgp_router_id(self):
+        """S reaches its iBGP peer D's loopback over two equal-cost OSPF
+        paths.  Z's configured BGP router id ranks it after B, so S's
+        recursive first hop is B, in the simulator and in the encoder's
+        BGP-free IGP view alike."""
+        from repro.sim import Packet
+
+        builder = NetworkBuilder()
+        builder.device("D").interface("lo0", "10.9.9.9/32")
+        for name in ("S", "Z", "B", "D"):
+            dev = builder.device(name)
+            dev.ospf_network("10.0.0.0/8")
+            dev.enable_bgp(65001)
+        for a, c in (("S", "Z"), ("S", "B"), ("Z", "D"), ("B", "D")):
+            builder.link(a, c)
+        builder.device("Z").config.bgp.router_id = iplib.parse_ip(
+            "10.255.0.1")
+        builder.ibgp_session("S", "D")
+        builder.external_peer("D", asn=65100, name="EXT")
+        env = Environment.of([
+            ExternalAnnouncement.make("EXT", "8.8.0.0/16")])
+        dst = iplib.parse_ip("8.8.8.8")
+        _, _, dataplane = agreement_check(builder.build(), env, dst)
+        assert dataplane.step("S", Packet(dst_ip=dst)) == (False, ("B",))
+
     def test_recursive_forwarding_reaches_exit(self):
         from repro import Verifier
         from repro.core import properties as P

@@ -102,6 +102,51 @@ def test_fattree_racks_agree_with_sat():
         assert decided == len(forwarding_queries(tree.network, prefix))
 
 
+def ospf_diamond(router_ids=()):
+    """S-{Z,B}-D, single-path OSPF, D holding the rack.  S's two routes
+    tie on cost; Z, linked first, has the lower router id (its highest
+    address) unless ``router_ids`` configures ids."""
+    b = NetworkBuilder()
+    for name in ("S", "Z", "B", "D"):
+        b.device(name).ospf_network("10.0.0.0/8")
+    for a, c in (("S", "Z"), ("S", "B"), ("Z", "D"), ("B", "D")):
+        b.link(a, c)
+    b.device("D").interface("rack", "10.9.0.1/24")
+    for name, rid in router_ids:
+        b.device(name).enable_ospf().router_id = iplib.parse_ip(rid)
+    return b.build()
+
+
+def test_single_path_tie_is_decided():
+    """The simulator and the encoding break S's tie alike, so the rule
+    decides every k=0 query on the rack, with the SAT path's verdicts."""
+    network = ospf_diamond()
+    decided = check_agreement(network, RACK)
+    assert decided == len(forwarding_queries(network, RACK))
+    result = Verifier(network).verify(rack_reach())
+    assert result.holds is True and result.method == "simulation"
+
+
+@pytest.mark.parametrize(
+    "router_ids, hop",
+    [((), "Z"), ((("Z", "10.255.0.1"), ("B", "10.255.0.1")), "B")],
+)
+def test_single_path_tie_breaks_on_router_id_then_name(router_ids, hop):
+    """S takes the neighbour with the lower router id, and the one
+    named first when both have the same id, in the simulator and in
+    the encoding's stable state."""
+    from repro.sim import DataPlane, Environment, Packet, simulate
+    from tests.integration.test_agreement import agreement_check
+
+    network = ospf_diamond(router_ids)
+    packet = Packet.to("10.9.0.5")
+    assert DataPlane(simulate(network)).step("S", packet) == (False, (hop,))
+    model, enc, _ = agreement_check(
+        network, Environment.empty(), packet.dst_ip
+    )
+    assert model.eval(enc.data_fwd("S", hop))
+
+
 # ---------------------------------------------------------------------------
 # What the rule must leave to the encoding
 # ---------------------------------------------------------------------------

@@ -67,6 +67,22 @@ class TestBuilder:
         assert net.device("R1").config_lines > 0
         assert net.total_config_lines() > 0
 
+    def test_ranks_follow_router_id_then_name(self):
+        """Routers by router id and peers by address share one order;
+        equal ids go by name, and a peer may share a router's name."""
+        b = NetworkBuilder()
+        for name in ("A", "B", "C"):
+            b.device(name).enable_bgp(65001)
+        b.link("A", "B", subnet="10.0.1.0/30")
+        b.link("B", "C", subnet="10.0.2.0/30")
+        b.external_peer("A", asn=65099, name="C", subnet="10.0.0.0/30")
+        for name in ("A", "C"):
+            b.device(name).config.bgp.router_id = iplib.parse_ip("9.9.9.9")
+        routers, peers = b.build().ranks
+        # Peer 10.0.0.2 ranks between the ids 9.9.9.9 and 10.0.2.1 (B).
+        assert routers == {"A": 1, "C": 2, "B": 4}
+        assert peers == {"C": 3}
+
     def test_duplicate_hostname_rejected(self):
         with pytest.raises(ValueError):
             Network([DeviceConfig(hostname="X"),

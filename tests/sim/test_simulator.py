@@ -93,23 +93,25 @@ class TestOspf:
         assert paths == {("S", "L", "D"), ("S", "R", "D")}
         assert all(t.delivered for t in traces)
 
-    def test_router_id_ties_recorded_for_single_path(self):
-        """A single-path instance picking among equal-cost next hops on
-        router id alone is noted, since the encoder numbers routers
-        differently; with multipath every tie is forwarded on."""
-        for multipath in (False, True):
+    def test_single_path_breaks_ties_on_router_id(self):
+        """Of two equal-cost next hops, a single-path instance takes the
+        one with the lower router id (Z, linked first, holds lower
+        addresses than B), not the first name; multipath takes both."""
+        for multipath, hops in ((False, ("Z",)), (True, ("B", "Z"))):
             b = NetworkBuilder()
-            for name in ("S", "L", "R", "D"):
+            for name in ("S", "Z", "B", "D"):
                 b.device(name).enable_ospf(multipath=multipath)
                 b.device(name).ospf_network("10.0.0.0/8")
-            b.link("S", "L")
-            b.link("S", "R")
-            b.link("L", "D")
-            b.link("R", "D")
+            b.link("S", "Z")
+            b.link("S", "B")
+            b.link("Z", "D")
+            b.link("B", "D")
             b.device("D").interface("host", "10.9.0.1/24")
-            ties = simulate(b.build()).ties
-            rack = ("S", iplib.parse_prefix("10.9.0.0/24"))
-            assert (rack in ties) is not multipath
+            network = b.build()
+            rid = {n: network.device(n).router_id for n in ("Z", "B")}
+            assert rid["Z"] < rid["B"]
+            dp = DataPlane(simulate(network))
+            assert dp.step("S", Packet.to("10.9.0.5")) == (False, hops)
 
 
 class TestStaticRoutes:

@@ -85,10 +85,10 @@ def test_lean_state_after_check(checked_solver):
 
     # Drained buffer, same counts as when every clause was kept.
     assert solver._cnf.clauses == []
-    assert solver.num_variables == 2161
-    assert solver.num_clauses == 6707
-    assert solver.stats["clauses"] == 6707
-    assert solver._num_clauses_loaded == 6707
+    assert solver.num_variables == 2158
+    assert solver.num_clauses == 6703
+    assert solver.stats["clauses"] == 6703
+    assert solver._num_clauses_loaded == 6703
 
     # One flat int32 buffer per eliminated variable; the reconstruction
     # stack holds one witness int each.

@@ -64,7 +64,7 @@ from repro import obs
 from repro.net import ip as iplib
 from repro.net.device import BgpNeighbor, DeviceConfig
 from repro.net.policy import PERMIT, PrefixListEntry, RouteMapClause
-from repro.net.topology import Network
+from repro.net.topology import Network, Session
 
 from .diagnostics import Severity
 from .registry import Finding, rule
@@ -366,44 +366,42 @@ def _origin_set(dev: DeviceConfig) -> PrefixSet:
 
 
 def _export_toward(
-    sender: DeviceConfig, receiver: DeviceConfig, routes: PrefixSet
+    network: Network, sender: str, receiver: str, routes: PrefixSet
 ) -> PrefixSet:
     """What ``sender`` can advertise on its session(s) to ``receiver``.
 
-    The export filter is the sender's reverse binding: its neighbor
-    entries whose peer address the receiver owns.  With no reverse
-    entry the session is one-sided; passing the full route set through
-    keeps the over-approximation sound either way.
+    The export filter is the sender's reverse binding: every neighbor
+    entry of the sender whose peer address the receiver owns.  With no
+    reverse entry the session is one-sided; passing the full route set
+    through keeps the over-approximation sound either way.
     """
-    if sender.bgp is None:
-        return EMPTY
     reverse = [
-        nbr
-        for nbr in sender.bgp.neighbors
-        if receiver.owns_address(nbr.peer_ip)
+        session.nbr
+        for session in network.sessions(sender)
+        if session.peer_device == receiver
     ]
     if not reverse:
         return routes
     out = EMPTY
+    sender_dev = network.devices[sender]
     for nbr in reverse:
-        out = out.union(transfer(sender, nbr.route_map_out, routes))
+        out = out.union(transfer(sender_dev, nbr.route_map_out, routes))
     return out
 
 
 def _session_inflow(
     network: Network,
-    dev: DeviceConfig,
-    nbr: BgpNeighbor,
+    name: str,
+    session: Session,
     routes: Dict[str, PrefixSet],
 ) -> PrefixSet:
     """Routes that can arrive on one session, before the import map."""
-    owner = network.device_owning(nbr.peer_ip)
+    owner = session.peer_device
     if owner is not None:
-        sender = network.devices[owner]
-        if sender.bgp is None:
+        if network.devices[owner].bgp is None:
             return EMPTY
-        return _export_toward(sender, dev, routes[owner])
-    if dev.interface_for_subnet(nbr.peer_ip) is not None:
+        return _export_toward(network, owner, name, routes[owner])
+    if session.peer is not None:
         # Resolvable external peer: the environment may announce
         # anything — the unbounded input deps.py refuses to bound.
         return ANY
@@ -462,12 +460,11 @@ def _fixpoint(network: Network) -> Dataflow:
         for name in names:
             dev = network.devices[name]
             inflow_total = df.learned[name]
-            if dev.bgp:
-                for nbr in dev.bgp.neighbors:
-                    inflow = _session_inflow(network, dev, nbr, routes)
-                    inflow_total = inflow_total.union(
-                        transfer(dev, nbr.route_map_in, inflow)
-                    )
+            for session in network.sessions(name):
+                inflow = _session_inflow(network, name, session, routes)
+                inflow_total = inflow_total.union(
+                    transfer(dev, session.nbr.route_map_in, inflow)
+                )
             for peer in ospf_peers.get(name, ()):
                 # OSPF floods the peer's routing information wholesale
                 # (including redistribution); no per-prefix filtering.
@@ -489,27 +486,27 @@ def _fixpoint(network: Network) -> Dataflow:
     for name in names:
         dev = network.devices[name]
         advertised = EMPTY
-        if dev.bgp:
-            for nbr in dev.bgp.neighbors:
-                inflow = _session_inflow(network, dev, nbr, routes)
-                key = (name, nbr.peer_ip)
-                df.session_inflow[key] = df.session_inflow.get(
-                    key, EMPTY
+        for session in network.sessions(name):
+            nbr = session.nbr
+            inflow = _session_inflow(network, name, session, routes)
+            key = (name, nbr.peer_ip)
+            df.session_inflow[key] = df.session_inflow.get(
+                key, EMPTY
+            ).union(inflow)
+            if nbr.route_map_in and not inflow.is_empty():
+                table = df.map_inputs.setdefault(name, {})
+                table[nbr.route_map_in] = table.get(
+                    nbr.route_map_in, EMPTY
                 ).union(inflow)
-                if nbr.route_map_in and not inflow.is_empty():
+            if session.peer is not None:
+                if nbr.route_map_out:
                     table = df.map_inputs.setdefault(name, {})
-                    table[nbr.route_map_in] = table.get(
-                        nbr.route_map_in, EMPTY
-                    ).union(inflow)
-                if not _session_dead(network, dev, nbr):
-                    if nbr.route_map_out:
-                        table = df.map_inputs.setdefault(name, {})
-                        table[nbr.route_map_out] = table.get(
-                            nbr.route_map_out, EMPTY
-                        ).union(routes[name])
-                    advertised = advertised.union(
-                        transfer(dev, nbr.route_map_out, routes[name])
-                    )
+                    table[nbr.route_map_out] = table.get(
+                        nbr.route_map_out, EMPTY
+                    ).union(routes[name])
+                advertised = advertised.union(
+                    transfer(dev, nbr.route_map_out, routes[name])
+                )
         df.advertised[name] = advertised
 
     df.iterations = iterations
@@ -519,15 +516,6 @@ def _fixpoint(network: Network) -> Dataflow:
     if widened:
         metrics.counter("dataflow.widened").inc()
     return df
-
-
-def _session_dead(
-    network: Network, dev: DeviceConfig, nbr: BgpNeighbor
-) -> bool:
-    return (
-        network.device_owning(nbr.peer_ip) is None
-        and dev.interface_for_subnet(nbr.peer_ip) is None
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -614,18 +602,6 @@ def _loop_risky(dev: DeviceConfig) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _live_bgp_sessions(
-    network: Network, dev: DeviceConfig
-) -> List[BgpNeighbor]:
-    if not dev.bgp:
-        return []
-    return [
-        nbr
-        for nbr in dev.bgp.neighbors
-        if not _session_dead(network, dev, nbr)
-    ]
-
-
 # Definite first-match walk for one concrete announced prefix.  All
 # matches are concrete — the announced route is exactly (net, length)
 # and carries no communities at origination — except a dangling export
@@ -681,7 +657,9 @@ def route_never_arrives(network: Network) -> Iterator[Finding]:
     """
     for name in network.router_names():
         dev = network.device(name)
-        sessions = _live_bgp_sessions(network, dev)
+        sessions = [
+            s.nbr for s in network.sessions(name) if s.peer is not None
+        ]
         if not sessions:
             continue  # no propagation paths at all: DEP001's territory
         for net, length in _announced(dev):
@@ -723,13 +701,9 @@ def cross_device_shadowed(network: Network) -> Iterator[Finding]:
         return
     for name in network.router_names():
         dev = network.device(name)
-        if not dev.bgp:
-            continue
-        for nbr in dev.bgp.neighbors:
-            if not nbr.route_map_in:
-                continue
-            owner = network.device_owning(nbr.peer_ip)
-            if owner is None:
+        for session in network.sessions(name):
+            nbr, owner = session.nbr, session.peer_device
+            if not nbr.route_map_in or owner is None:
                 continue
             inflow = df.session_inflow.get((name, nbr.peer_ip), EMPTY)
             if inflow.is_any or inflow.is_empty():
@@ -806,7 +780,9 @@ def asymmetric_filtering(network: Network) -> Iterator[Finding]:
     """
     for name in network.router_names():
         dev = network.device(name)
-        sessions = _live_bgp_sessions(network, dev)
+        sessions = [
+            s.nbr for s in network.sessions(name) if s.peer is not None
+        ]
         if len(sessions) < 2:
             continue
         for net, length in _announced(dev):

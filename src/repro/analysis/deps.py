@@ -102,7 +102,7 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 from repro import obs
 from repro.net import ip as iplib
 from repro.net.device import DeviceConfig
-from repro.net.topology import Network
+from repro.net.topology import ExternalPeer, Network
 from repro.lang.writer import write_config, write_fragments
 from .dataflow import Dataflow, analyze_dataflow, loop_candidates
 from .diagnostics import Severity
@@ -263,14 +263,12 @@ def _stable_peer_name(network: Network, peer: str) -> bool:
     counter over device iteration order, so an unrelated edit can
     renumber them; queries naming such peers are not cacheable.
     """
-    for ext in network.externals:
-        if ext.name != peer:
-            continue
-        dev = network.devices[ext.router]
-        nbr = dev.bgp.neighbor(ext.peer_ip) if dev.bgp else None
-        if nbr is not None and nbr.description == peer:
-            return True
-    return False
+    return any(
+        isinstance(session.peer, ExternalPeer)
+        and session.peer.name == peer == session.nbr.description
+        for name in network.devices
+        for session in network.sessions(name)
+    )
 
 
 def _full_cone(network: Network, reason: str) -> Cone:
@@ -285,9 +283,7 @@ def query_cone(
     network: Network,
     prop,
     *,
-    max_failures: Optional[int] = None,
     assumptions: Tuple = (),
-    options=None,
 ) -> Optional[Cone]:
     """The cone of influence of one query, or ``None`` if the query is
     not cacheable at all (unknown property/assumption types, unstable
@@ -301,16 +297,11 @@ def query_cone(
         if not _stable_peer_name(network, peer):
             return None
 
-    if options is None:
-        from repro.core.encoder import EncoderOptions
-
-        options = EncoderOptions()
     dst = prop.dst_prefix()
     if dst is None:
         return _full_cone(network, "property has no destination prefix")
 
     facts = network_facts(network)
-    model_ibgp = facts.has_ibgp and getattr(options, "model_ibgp", True)
     # NoForwardingLoops with default candidates pivots the risky devices
     # of loop_candidates, whose inputs may lie outside the cone.
     structural = (
@@ -334,7 +325,7 @@ def query_cone(
             dev,
             dst,
             facts,
-            include_all_statics=model_ibgp or structural,
+            include_all_statics=facts.has_ibgp or structural,
             include_all_maps=structural and dataflow is None,
             dataflow=dataflow,
         )
@@ -554,7 +545,6 @@ _SEMANTIC_OPTION_FIELDS = (
     "merge_edge_records",
     "slice_connected",
     "merge_fwd",
-    "model_ibgp",
     "fail_external",
 )
 
@@ -591,13 +581,7 @@ def cache_key(
     if options is None:
         options = EncoderOptions()
     if cone is None:
-        cone = query_cone(
-            network,
-            prop,
-            max_failures=max_failures,
-            assumptions=assumptions,
-            options=options,
-        )
+        cone = query_cone(network, prop, assumptions=assumptions)
     if cone is None:
         return None
     k = effective_max_failures(prop, max_failures, options)
@@ -614,24 +598,6 @@ def cache_key(
 # ---------------------------------------------------------------------------
 # Dead-policy rule: referenced, but outside every propagation path
 # ---------------------------------------------------------------------------
-
-
-def _live_sessions(network: Network, dev: DeviceConfig):
-    """Split a device's BGP sessions into live (an internal device owns
-    the peer address, or it resolves to a symbolic external peer) and
-    dead (the session can never come up — the topology layer silently
-    drops it)."""
-    live, dead = [], []
-    if not dev.bgp:
-        return live, dead
-    for nbr in dev.bgp.neighbors:
-        if network.device_owning(nbr.peer_ip) is not None:
-            live.append(nbr)
-        elif dev.interface_for_subnet(nbr.peer_ip) is not None:
-            live.append(nbr)
-        else:
-            dead.append(nbr)
-    return live, dead
 
 
 @rule(
@@ -653,7 +619,12 @@ def unreachable_policy(network: Network) -> Iterator[Finding]:
     down.  Edits to it look meaningful and change nothing.
     """
     for name, dev in network.devices.items():
-        live, dead = _live_sessions(network, dev)
+        # Live: an internal device owns the peer address, or it
+        # resolves to a symbolic external peer; dead: the session can
+        # never come up.
+        live, dead = [], []
+        for session in network.sessions(name):
+            (dead if session.peer is None else live).append(session.nbr)
         live_maps = {
             m
             for nbr in live

@@ -240,16 +240,6 @@ def missing_hostname(device: DeviceConfig) -> Iterator[Finding]:
 # ----------------------------------------------------------------------
 
 
-def _address_owner(network: Network) -> Dict[int, Tuple[str, str]]:
-    """address → (device, interface) for every configured address."""
-    owner: Dict[int, Tuple[str, str]] = {}
-    for name in network.router_names():
-        for iface in network.device(name).interfaces.values():
-            if iface.address and iface.address not in owner:
-                owner[iface.address] = (name, iface.name)
-    return owner
-
-
 @rule("TOP001", "asymmetric BGP session", Severity.WARNING, "network")
 def bgp_asymmetry(network: Network) -> Iterator[Finding]:
     """A BGP session is configured on one side only.
@@ -257,23 +247,14 @@ def bgp_asymmetry(network: Network) -> Iterator[Finding]:
     The neighbor address belongs to an internal device that has no
     session back; the session never establishes.
     """
-    owner = _address_owner(network)
     for name in network.router_names():
-        dev = network.device(name)
-        if not dev.bgp:
-            continue
-        my_addresses = {
-            i.address for i in dev.interfaces.values() if i.address
-        }
-        for nbr in dev.bgp.neighbors:
-            if nbr.peer_ip not in owner:
+        for session in network.sessions(name):
+            nbr, peer_name = session.nbr, session.peer_device
+            if peer_name is None or peer_name == name:
                 continue  # external peer: environment's job
-            peer_name, _ = owner[nbr.peer_ip]
-            if peer_name == name:
-                continue
             peer_dev = network.device(peer_name)
             reciprocal = peer_dev.bgp is not None and any(
-                back.peer_ip in my_addresses
+                network.device_owning(back.peer_ip) == name
                 for back in peer_dev.bgp.neighbors
             )
             if not reciprocal:
@@ -294,16 +275,10 @@ def remote_as_mismatch(network: Network) -> Iterator[Finding]:
 
     The OPEN negotiation fails and the session never establishes.
     """
-    owner = _address_owner(network)
     for name in network.router_names():
-        dev = network.device(name)
-        if not dev.bgp:
-            continue
-        for nbr in dev.bgp.neighbors:
-            if nbr.peer_ip not in owner:
-                continue
-            peer_name, _ = owner[nbr.peer_ip]
-            if peer_name == name:
+        for session in network.sessions(name):
+            nbr, peer_name = session.nbr, session.peer_device
+            if peer_name is None or peer_name == name:
                 continue
             peer_bgp = network.device(peer_name).bgp
             if peer_bgp is not None and nbr.remote_as != peer_bgp.asn:

@@ -38,7 +38,7 @@ from repro.net.route import (
     IBGP_AD,
     MAX_OSPF_METRIC,
 )
-from repro.net.topology import Edge, Network
+from repro.net.topology import ExternalPeer, Network, Session
 from repro.smt import (
     FALSE,
     TRUE,
@@ -90,7 +90,6 @@ class EncoderOptions:
     merge_edge_records: bool = True  # functional edge records (§6.2)
     slice_connected: bool = True     # skip non-overlapping connected routes
     merge_fwd: bool = True           # share control/data fwd when no ACLs
-    model_ibgp: bool = True          # §4 iBGP with recursive lookup
     max_failures: int = 0            # k in the §5 fault-tolerance bound
     fail_external: bool = True       # external peering links can also fail
     preprocess: bool = True          # SAT-level CNF simplification (§8)
@@ -409,26 +408,20 @@ class NetworkEncoder:
         "at most 0 links fail" brings up the same sessions as a k=0 one.
         """
         sessions: Dict[Tuple[str, int], Term] = {}
-        if not self.options.model_ibgp:
-            return sessions
-        for name, dev in self.network.devices.items():
-            if not dev.bgp:
-                continue
-            for nbr in dev.bgp.neighbors:
-                if nbr.remote_as != dev.bgp.asn:
+        for name in self.network.devices:
+            for session in self.network.sessions(name):
+                peer_name = session.peer_device
+                if not session.internal or peer_name is None:
                     continue
-                peer_name = self.network.device_owning(nbr.peer_ip)
-                if peer_name is None:
-                    continue
-                edge = _edge_toward(self.network, name, nbr.peer_ip)
-                if edge is not None:
+                peer_ip = session.nbr.peer_ip
+                if session.edge is not None:
                     up = not_(enc.link_failed(name, peer_name))
                 elif self.options.max_failures <= 0:
                     up = TRUE if self._igp_reaches_concretely(
-                        name, nbr.peer_ip) else FALSE
+                        name, peer_ip) else FALSE
                 else:
-                    up = self._encode_igp_copy(enc, name, nbr.peer_ip)
-                sessions[(name, nbr.peer_ip)] = up
+                    up = self._encode_igp_copy(enc, name, peer_ip)
+                sessions[(name, peer_ip)] = up
         return sessions
 
     def _igp_reaches_concretely(self, start: str, dst_ip: int) -> bool:
@@ -585,7 +578,7 @@ class NetworkEncoder:
                 kind = "static-iface"
                 iface_name = static.interface
             else:
-                target = _static_target(self.network, name, dev,
+                target = _static_target(self.network, name,
                                         static.next_hop_ip)
                 if target is None:
                     continue
@@ -681,8 +674,8 @@ class NetworkEncoder:
             return None
         factory = enc.factory
         cands: List[_Candidate] = []
-        for nbr in dev.bgp.neighbors:
-            candidate = self._bgp_session_input(enc, name, dev, nbr)
+        for session in self.network.sessions(name):
+            candidate = self._bgp_session_input(enc, name, dev, session)
             if candidate is not None:
                 cands.append(candidate)
         origins: List[SymbolicRecord] = []
@@ -807,14 +800,17 @@ class NetworkEncoder:
 
     def _bgp_session_input(self, enc: EncodedNetwork, name: str,
                            dev: DeviceConfig,
-                           nbr: BgpNeighbor) -> Optional["_Candidate"]:
-        peer_name = self.network.device_owning(nbr.peer_ip)
+                           session: Session) -> Optional["_Candidate"]:
+        nbr, peer_name = session.nbr, session.peer_device
+        if isinstance(session.peer, ExternalPeer):
+            return self._bgp_external_input(enc, name, dev, nbr,
+                                            session.peer)
         if peer_name is None:
-            return self._bgp_external_input(enc, name, dev, nbr)
+            return None
         peer_dev = self.network.device(peer_name)
         if peer_dev.bgp is None:
             return None
-        internal = nbr.remote_as == dev.bgp.asn
+        internal = session.internal
         factory = enc.factory
         best = enc.best_export.get((peer_name, "bgp"))
         if best is None:
@@ -822,13 +818,10 @@ class NetworkEncoder:
             enc.best_export[(peer_name, "bgp")] = best
 
         # Sender-side export transform.
-        my_address = _address_facing(dev, nbr.peer_ip)
-        reverse = peer_dev.bgp.neighbor(my_address) if my_address else None
+        reverse = session.reverse
         exported = best
         valid_parts: List[Term] = [best.valid]
         if internal:
-            if not self.options.model_ibgp:
-                return None
             up = self._ibgp_sessions.get((name, nbr.peer_ip))
             if up is None:
                 return None
@@ -844,8 +837,7 @@ class NetworkEncoder:
                             bv_val(self.router_index[name],
                                    self.widths.router_id)))))
         else:
-            edge = _edge_toward(self.network, name, nbr.peer_ip)
-            if edge is None:
+            if session.edge is None:
                 return None
             valid_parts.append(not_(enc.link_failed(name, peer_name)))
         if reverse is not None and reverse.route_map_out:
@@ -895,12 +887,8 @@ class NetworkEncoder:
                           internal=internal)
 
     def _bgp_external_input(self, enc: EncodedNetwork, name: str,
-                            dev: DeviceConfig,
-                            nbr: BgpNeighbor) -> Optional["_Candidate"]:
-        peer = next((p for p in self.network.externals_at(name)
-                     if p.peer_ip == nbr.peer_ip), None)
-        if peer is None:
-            return None
+                            dev: DeviceConfig, nbr: BgpNeighbor,
+                            peer: ExternalPeer) -> Optional["_Candidate"]:
         factory = enc.factory
         env = enc.env[peer.name]
         link_up = not_(enc.failed_ext.get((name, peer.name), FALSE))
@@ -1085,8 +1073,7 @@ class NetworkEncoder:
         if target in self.network.devices:
             edge = self.network.edge_between(name, target)
             return dev.interfaces.get(edge.source_iface) if edge else None
-        peer = next((p for p in self.network.externals_at(name)
-                     if p.name == target), None)
+        peer = self.network.external(name, target)
         return dev.interfaces.get(peer.router_iface) if peer else None
 
     # -- exports toward external peers ---------------------------------------
@@ -1098,9 +1085,9 @@ class NetworkEncoder:
         best = enc.best_export.get((name, "bgp"))
         if best is None:
             return
-        for peer in self.network.externals_at(name):
-            nbr = dev.bgp.neighbor(peer.peer_ip)
-            if nbr is None:
+        for session in self.network.sessions(name):
+            peer, nbr = session.peer, session.nbr
+            if not isinstance(peer, ExternalPeer):
                 continue
             exported = best
             valid_parts = [best.valid,
@@ -1167,32 +1154,15 @@ def _link_key(a: str, b: str) -> Tuple[str, str]:
     return (a, b) if a <= b else (b, a)
 
 
-def _edge_toward(network: Network, name: str, peer_ip: int):
-    for edge in network.edges_from(name):
-        if network.peer_address_on(edge) == peer_ip:
-            return edge
-    return None
-
-
-def _address_facing(dev: DeviceConfig, peer_ip: int) -> Optional[int]:
-    iface = dev.interface_for_subnet(peer_ip)
-    if iface is not None:
-        return iface.address
-    addresses = [i.address for i in dev.interfaces.values() if i.address]
-    return addresses[0] if addresses else None
-
-
-def _static_target(network: Network, name: str, dev: DeviceConfig,
+def _static_target(network: Network, name: str,
                    next_hop_ip: Optional[int]) -> Optional[str]:
     if next_hop_ip is None:
         return None
-    for edge in network.edges_from(name):
-        if network.peer_address_on(edge) == next_hop_ip:
-            return edge.target
-    for peer in network.externals_at(name):
-        if peer.peer_ip == next_hop_ip:
-            return peer.name
-    return None
+    edge = network.edge_to(name, next_hop_ip)
+    if edge is not None:
+        return edge.target
+    peer = network.external(name, next_hop_ip)
+    return peer.name if peer else None
 
 
 def _igp_only_network(network: Network) -> Network:

@@ -171,14 +171,12 @@ def _sorted_ifaces(dev: DeviceConfig):
 
 
 def _sorted_sessions(network: Network, dev: DeviceConfig):
-    if dev.bgp is None:
-        return []
-
-    def key(nbr):
-        external = network.device_owning(nbr.peer_ip) is None
-        return (0 if external else 1, nbr.peer_ip)
-
-    return sorted(dev.bgp.neighbors, key=key)
+    """The device's neighbor statements, those to no internal device
+    first, then by peer address."""
+    sessions = sorted(network.sessions(dev.hostname),
+                      key=lambda s: (s.peer_device is not None,
+                                     s.nbr.peer_ip))
+    return [s.nbr for s in sessions]
 
 
 def _acl_decision(dev: DeviceConfig, acl_name: Optional[str],

@@ -217,14 +217,12 @@ def diff_networks(
             QueryDiff(name=query.name(), old=old_res, new=new_res)
         )
     if cone_stats:
-        report.cone_stats = _cone_stats(new, batch, options)
+        report.cone_stats = _cone_stats(new, batch)
     report.seconds = time.perf_counter() - start
     return report
 
 
-def _cone_stats(
-    network: Network, batch: List[BatchQuery], options
-) -> List[ConeStat]:
+def _cone_stats(network: Network, batch: List[BatchQuery]) -> List[ConeStat]:
     from repro.analysis.deps import query_cone
 
     stats = []
@@ -232,11 +230,7 @@ def _cone_stats(
         for query in batch:
             try:
                 cone = query_cone(
-                    network,
-                    query.prop,
-                    max_failures=query.max_failures,
-                    assumptions=query.assumptions,
-                    options=options,
+                    network, query.prop, assumptions=query.assumptions
                 )
             except Exception:  # mirror the engine: analysis never fatal
                 cone = None

@@ -147,11 +147,6 @@ class DeviceConfig:
         addresses = [i.address for i in self.interfaces.values() if i.address]
         return max(addresses, default=0)
 
-    def owns_address(self, address: int) -> bool:
-        """Does any interface hold ``address``, shut down or not?  The
-        owner of a session or next-hop address (``device_owning``)."""
-        return any(i.address == address for i in self.interfaces.values())
-
     def delivers_locally(self, address: int) -> bool:
         """Does the device take a packet to ``address`` as its own?  Only
         an up interface does, as in the encoder's ``owns`` term."""

@@ -1,20 +1,27 @@
-"""Network topology: devices, internal links and external BGP peers.
+"""Network topology: devices, internal links, BGP sessions, external peers.
 
 Adjacency is derived the way Batfish does it: two interfaces that share an
-IP subnet are connected.  A configured BGP neighbor address owned by no
-internal device becomes a symbolic *external peer* — the environment whose
-announcements the verifier ranges over.
+IP subnet are connected.  Every interface address has one owner, the first
+device (in ``Network.devices`` order) holding it, shut down or not.
+
+Each BGP ``neighbor`` statement is resolved once, on first use, into a
+:class:`Session`: the device owning the peer address, or else a symbolic
+*external peer* on a connected subnet (the environment whose announcements
+the verifier ranges over), or nothing when the session can never come up;
+plus the adjacency toward the peer, the address the peer sees us by, and
+the peer's reverse entry.  The encoder, the simulator, the data plane and the analyses all
+read this one table; only liveness under link failures stays theirs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
-from .device import DeviceConfig, Interface
+from .device import BgpNeighbor, DeviceConfig, Interface
 
-__all__ = ["Edge", "ExternalPeer", "Network"]
+__all__ = ["Edge", "ExternalPeer", "Network", "Session"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +56,32 @@ class ExternalPeer:
     asn: int
 
 
+@dataclass(frozen=True)
+class Session:
+    """One ``neighbor`` statement of a router, resolved against the
+    topology.
+
+    ``peer`` is the internal device owning ``nbr.peer_ip``, the
+    :class:`ExternalPeer` the statement reaches on a connected subnet,
+    or ``None`` for a session that can never come up.  ``edge`` is the
+    adjacency whose far interface holds ``nbr.peer_ip`` (``None`` for a
+    multihop or external session); ``local_address`` is the address
+    the peer sees this router by, and ``reverse`` the peer's neighbor
+    entry for it (its export policy toward this router)."""
+
+    nbr: BgpNeighbor
+    peer: Union[str, ExternalPeer, None]
+    internal: bool                # iBGP: same ASN on both ends
+    edge: Optional[Edge]
+    local_address: Optional[int]
+    reverse: Optional[BgpNeighbor]
+
+    @property
+    def peer_device(self) -> Optional[str]:
+        """The internal peer's name, or ``None``."""
+        return self.peer if isinstance(self.peer, str) else None
+
+
 class Network:
     """A parsed network: device configs plus derived topology."""
 
@@ -59,10 +92,13 @@ class Network:
                 raise ValueError(f"duplicate hostname {dev.hostname!r}")
             self.devices[dev.hostname] = dev
         self.edges: List[Edge] = []
-        self.externals: List[ExternalPeer] = []
         self._neighbors: Dict[str, List[Edge]] = {}
+        self._owner: Dict[int, str] = {}
+        for name, dev in self.devices.items():
+            for iface in dev.interfaces.values():
+                self._owner.setdefault(iface.address, name)
+        self._edge_to: Dict[str, Dict[int, Edge]] = {}
         self._build_edges()
-        self._build_externals()
 
     # ------------------------------------------------------------------
     # Derivation
@@ -93,34 +129,64 @@ class Network:
     def _add_edge(self, edge: Edge) -> None:
         self.edges.append(edge)
         self._neighbors.setdefault(edge.source, []).append(edge)
+        self._edge_to.setdefault(edge.source, {}).setdefault(
+            self.peer_address_on(edge), edge)
 
-    def _build_externals(self) -> None:
-        owned = {
-            iface.address
-            for dev in self.devices.values()
-            for iface in dev.interfaces.values()
-            if iface.address
-        }
+    @cached_property
+    def _session_table(self) -> Tuple[
+            Dict[str, Tuple[Session, ...]], List[ExternalPeer],
+            Dict[Tuple[str, Union[str, int]], ExternalPeer]]:
+        """``(sessions, externals, external)``: every router's sessions,
+        every external peer, and the peers by ``(router, name)`` and
+        ``(router, peer_ip)``; resolved in one pass on first use."""
+        table: Dict[str, Tuple[Session, ...]] = {}
+        externals: List[ExternalPeer] = []
+        by_key: Dict[Tuple[str, Union[str, int]], ExternalPeer] = {}
         counter = 0
         for name, dev in self.devices.items():
             if not dev.bgp:
                 continue
+            sessions = []
             for nbr in dev.bgp.neighbors:
-                if nbr.peer_ip in owned:
-                    continue
+                peer: Union[str, ExternalPeer, None]
+                peer = self._owner.get(nbr.peer_ip)
                 iface = dev.interface_for_subnet(nbr.peer_ip)
-                if iface is None:
-                    # Session can never come up; ignore (like a down peer).
-                    continue
-                counter += 1
-                peer_name = nbr.description or f"ext-{name}-{counter}"
-                self.externals.append(ExternalPeer(
-                    name=peer_name,
-                    router=name,
-                    router_iface=iface.name,
-                    peer_ip=nbr.peer_ip,
-                    asn=nbr.remote_as,
+                if peer is None and iface is not None:
+                    counter += 1
+                    peer = ExternalPeer(
+                        name=nbr.description or f"ext-{name}-{counter}",
+                        router=name,
+                        router_iface=iface.name,
+                        peer_ip=nbr.peer_ip,
+                        asn=nbr.remote_as,
+                    )
+                    externals.append(peer)
+                    by_key.setdefault((name, peer.name), peer)
+                    by_key.setdefault((name, peer.peer_ip), peer)
+                if iface is not None:
+                    local = iface.address
+                else:
+                    local = next((i.address for i in dev.interfaces.values()
+                                  if i.address), None)
+                reverse = None
+                if isinstance(peer, str) and local:
+                    peer_bgp = self.devices[peer].bgp
+                    reverse = peer_bgp.neighbor(local) if peer_bgp else None
+                sessions.append(Session(
+                    nbr=nbr,
+                    peer=peer,
+                    internal=dev.bgp.is_internal(nbr),
+                    edge=self.edge_to(name, nbr.peer_ip),
+                    local_address=local,
+                    reverse=reverse,
                 ))
+            table[name] = tuple(sessions)
+        return table, externals, by_key
+
+    @property
+    def externals(self) -> List[ExternalPeer]:
+        """Every external peer, in neighbor statement order."""
+        return self._session_table[1]
 
     # ------------------------------------------------------------------
     # Queries
@@ -158,6 +224,21 @@ class Network:
     def externals_at(self, router: str) -> List[ExternalPeer]:
         return [p for p in self.externals if p.router == router]
 
+    def external(self, router: str,
+                 key: Union[str, int]) -> Optional[ExternalPeer]:
+        """The external peer of ``router`` named ``key`` (a str) or at
+        address ``key`` (an int); the first such, in statement order."""
+        return self._session_table[2].get((router, key))
+
+    def sessions(self, router: str) -> Tuple[Session, ...]:
+        """``router``'s BGP sessions, in ``neighbor`` statement order."""
+        return self._session_table[0].get(router, ())
+
+    def edge_to(self, router: str, address: int) -> Optional[Edge]:
+        """The first adjacency from ``router`` whose far interface holds
+        ``address``."""
+        return self._edge_to.get(router, {}).get(address)
+
     def internal_links(self) -> List[Edge]:
         """One representative edge per undirected internal link."""
         seen = set()
@@ -175,10 +256,9 @@ class Network:
         return iface.address if iface else None
 
     def device_owning(self, address: int) -> Optional[str]:
-        for name, dev in self.devices.items():
-            if dev.owns_address(address):
-                return name
-        return None
+        """The first device, in ``devices`` order, with an interface
+        (shut down or not) holding ``address``."""
+        return self._owner.get(address)
 
     def total_config_lines(self) -> int:
         return sum(dev.config_lines for dev in self.devices.values())

@@ -131,10 +131,9 @@ class DataPlane:
                 and self._acl_in_permits(target, edge.target_iface, packet))
 
     def _exits(self, device: str, peer_name: str, packet: Packet) -> bool:
-        """Does the egress ACL toward external peer ``peer_name`` let
-        ``packet`` out?"""
-        peer = next((p for p in self.network.externals
-                     if p.name == peer_name), None)
+        """Does the egress ACL toward ``device``'s external peer
+        ``peer_name`` let ``packet`` out?"""
+        peer = self.network.external(device, peer_name)
         return peer is None or self._acl_out_permits(
             device, peer.router_iface, packet)
 
@@ -145,11 +144,8 @@ class DataPlane:
         owner = self.network.device_owning(dst_ip)
         if owner is not None and owner != device:
             return owner
-        peer = next((p for p in self.network.externals
-                     if p.peer_ip == dst_ip), None)
-        if peer is not None and peer.router == device:
-            return peer.name
-        return None
+        peer = self.network.external(device, dst_ip)
+        return peer.name if peer else None
 
     def _walk(self, device: str, packet: Packet, path: Tuple[str, ...],
               out: List[Trace], depth: int) -> None:

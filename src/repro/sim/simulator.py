@@ -32,7 +32,7 @@ from repro.net.route import (
     PROTO_STATIC,
     Route,
 )
-from repro.net.topology import Edge, Network
+from repro.net.topology import ExternalPeer, Network, Session
 from .decision import overall_best, select_best
 from .environment import Environment
 
@@ -188,16 +188,12 @@ class ControlPlaneSimulator:
         live shared subnet."""
         if next_hop_ip is None:
             return None
-        for edge in self.network.edges_from(name):
-            if self.env.link_failed(edge.source, edge.target):
-                continue
-            peer_addr = self.network.peer_address_on(edge)
-            if peer_addr == next_hop_ip:
-                return edge.target
-        for peer in self.network.externals_at(name):
-            if peer.peer_ip == next_hop_ip:
-                return peer.name
-        return None
+        edge = self.network.edge_to(name, next_hop_ip)
+        if edge is not None:
+            failed = self.env.link_failed(edge.source, edge.target)
+            return None if failed else edge.target
+        peer = self.network.external(name, next_hop_ip)
+        return peer.name if peer else None
 
     # -- OSPF -------------------------------------------------------------
 
@@ -304,9 +300,9 @@ class ControlPlaneSimulator:
                                 local_pref=DEFAULT_LOCAL_PREF, metric=0,
                                 med=metric, router_id=own, originator=name))
         # Per-session imports.
-        for nbr in bgp.neighbors:
-            for route in self._session_imports(name, dev, nbr, prev_ribs,
-                                               prev_fibs):
+        for session in self.network.sessions(name):
+            for route in self._session_imports(name, dev, session,
+                                               prev_ribs, prev_fibs):
                 offer(route)
         selected = {
             prefix: select_best(group, med_mode=bgp.med_mode,
@@ -329,22 +325,20 @@ class ControlPlaneSimulator:
                     originator=name)]
         return selected
 
-    def _session_imports(self, name: str, dev: DeviceConfig, nbr,
-                         prev_ribs: Dict[str, Rib],
+    def _session_imports(self, name: str, dev: DeviceConfig,
+                         session: Session, prev_ribs: Dict[str, Rib],
                          prev_fibs: Dict[str, Dict[Prefix, List[Route]]],
                          ) -> List[Route]:
-        peer_device = self.network.device_owning(nbr.peer_ip)
-        if peer_device is not None:
-            return self._import_from_device(name, dev, nbr, peer_device,
+        if session.peer_device is not None:
+            return self._import_from_device(name, dev, session,
                                             prev_ribs, prev_fibs)
-        return self._import_from_external(name, dev, nbr)
+        if session.peer is not None:
+            return self._import_from_external(dev, session.nbr,
+                                              session.peer)
+        return []
 
-    def _import_from_external(self, name: str, dev: DeviceConfig,
-                              nbr) -> List[Route]:
-        peer = next((p for p in self.network.externals_at(name)
-                     if p.peer_ip == nbr.peer_ip), None)
-        if peer is None:
-            return []
+    def _import_from_external(self, dev: DeviceConfig, nbr,
+                              peer: ExternalPeer) -> List[Route]:
         iface = dev.interfaces[peer.router_iface]
         if iface.shutdown:
             return []
@@ -365,20 +359,19 @@ class ControlPlaneSimulator:
                 out.append(route)
         return out
 
-    def _import_from_device(self, name: str, dev: DeviceConfig, nbr,
-                            peer_name: str, prev_ribs: Dict[str, Rib],
+    def _import_from_device(self, name: str, dev: DeviceConfig,
+                            session: Session, prev_ribs: Dict[str, Rib],
                             prev_fibs: Dict[str, Dict[Prefix, List[Route]]],
                             ) -> List[Route]:
+        peer_name = session.peer_device
         peer_dev = self.network.device(peer_name)
         if peer_dev.bgp is None:
             return []
-        internal = nbr.remote_as == dev.bgp.asn
-        if not self._session_up(name, dev, nbr, peer_name, internal,
-                                prev_fibs):
+        nbr, internal = session.nbr, session.internal
+        if not self._session_up(name, session, prev_fibs):
             return []
         # The peer's reverse session config (its export policy toward us).
-        my_address = self._address_facing(dev, nbr.peer_ip)
-        reverse = peer_dev.bgp.neighbor(my_address) if my_address else None
+        reverse = session.reverse
         out = []
         peer_table = prev_ribs.get(peer_name, {}).get(PROTO_BGP, {})
         for routes in peer_table.values():
@@ -395,23 +388,16 @@ class ControlPlaneSimulator:
                 out.append(imported)
         return out
 
-    def _session_up(self, name: str, dev: DeviceConfig, nbr, peer_name: str,
-                    internal: bool,
+    def _session_up(self, name: str, session: Session,
                     prev_fibs: Dict[str, Dict[Prefix, List[Route]]]) -> bool:
-        edge = self._edge_toward(name, nbr.peer_ip)
+        edge = session.edge
         if edge is not None:
             return not self.env.link_failed(edge.source, edge.target)
-        if not internal:
+        if not session.internal:
             return False  # eBGP requires shared subnet in this model
         # Multihop iBGP: the peer address must be reachable in the previous
         # round's forwarding state (the recursive-lookup dependence of §4).
-        return self._fib_reaches(name, nbr.peer_ip, prev_fibs)
-
-    def _edge_toward(self, name: str, peer_ip: int) -> Optional[Edge]:
-        for edge in self.network.edges_from(name):
-            if self.network.peer_address_on(edge) == peer_ip:
-                return edge
-        return None
+        return self._fib_reaches(name, session.nbr.peer_ip, prev_fibs)
 
     def _fib_reaches(self, start: str, dst_ip: int,
                      fibs: Dict[str, Dict[Prefix, List[Route]]],
@@ -441,14 +427,6 @@ class ControlPlaneSimulator:
                 return False
             current = nxt
         return False
-
-    @staticmethod
-    def _address_facing(dev: DeviceConfig, peer_ip: int) -> Optional[int]:
-        iface = dev.interface_for_subnet(peer_ip)
-        if iface is not None:
-            return iface.address
-        addresses = [i.address for i in dev.interfaces.values() if i.address]
-        return addresses[0] if addresses else None
 
     def _export_transform(self, peer_dev: DeviceConfig, reverse_nbr,
                           route: Route, internal: bool,

@@ -215,14 +215,14 @@ def test_failure_bound_and_options_change_the_key():
     net = build()
     assert key_of(net) != key_of(net, max_failures=1)
     assert key_of(net) != key_of(
-        net, options=EncoderOptions(model_ibgp=False))
+        net, options=EncoderOptions(fail_external=False))
     # Solver-side strategies are verdict-preserving: same key.
     assert key_of(net) == key_of(
         net, options=EncoderOptions(preprocess=False))
     # Pinned so persisted verdict caches and encoding-cache keys stay
     # valid when solver-only options are added or removed; only a
     # change to the semantic option set may move it.
-    assert options_digest(EncoderOptions()) == "afea895ce9f7"
+    assert options_digest(EncoderOptions()) == "654d6bcf21de"
 
 
 def test_options_fingerprint_covers_every_option():

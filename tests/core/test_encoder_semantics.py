@@ -273,27 +273,6 @@ class TestRouterIdWidth:
         assert max(ranks) < 2 ** width
 
 
-class TestModelIbgpFlag:
-    def test_disabling_ibgp_drops_sessions(self):
-        from repro.core import properties as P
-
-        b = NetworkBuilder()
-        b.device("R1").enable_bgp(65001)
-        b.device("R2").enable_bgp(65001)
-        b.link("R1", "R2")
-        b.ibgp_session("R1", "R2")
-        b.external_peer("R1", asn=65100, name="N1")
-        net = b.build()
-        prop = P.Reachability(sources=["R2"], dest_peer="N1",
-                              dest_prefix_text="8.0.0.0/8")
-        assume = [P.announces("N1", min_length=8)]
-        on = Verifier(net).verify(prop, assumptions=assume)
-        assert on.holds is True
-        off = Verifier(net, options=EncoderOptions(
-            model_ibgp=False)).verify(prop, assumptions=assume)
-        assert off.holds is False
-
-
 class TestPrefixLeakScoping:
     def test_router_filter_limits_check(self):
         from repro.core import properties as P

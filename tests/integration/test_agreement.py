@@ -109,6 +109,41 @@ class TestHandBuiltAgreement:
             ]
             assert sim_exit in enc_exits
 
+    def test_same_named_peers_are_told_apart_by_router(self):
+        """R1 and R2 each peer with an external described ``ISP``.
+        R2's exit toward its own ``ISP`` is ``eth2`` and denies every
+        packet, so R2 hands 8.8.8.8 to no one; R1's exit ``eth1``,
+        which on R2 is a plain host interface, must not stand in."""
+        from repro import Verifier
+        from repro.core import properties as P
+        from repro.net import AclRule, NetworkBuilder
+        from repro.sim import Environment, ExternalAnnouncement
+
+        b = NetworkBuilder()
+        b.device("R1").enable_bgp(65001)
+        r2 = b.device("R2")
+        r2.enable_bgp(65002)
+        b.link("R1", "R2")
+        b.device("R1").bgp_neighbor("10.128.0.2", remote_as=65002)
+        r2.bgp_neighbor("10.128.0.1", remote_as=65001)
+        r2.interface(r2.next_interface_name(), "10.9.0.1/24")
+        b.external_peer("R1", asn=65100, name="ISP")
+        b.external_peer("R2", asn=65100, name="ISP")
+        r2.acl("DENY-ALL", [AclRule("deny")])
+        r2.config.interfaces["eth2"].acl_out = "DENY-ALL"
+        network = b.build()
+        assert [(p.router, p.router_iface) for p in network.externals] == [
+            ("R1", "eth1"), ("R2", "eth2")]
+        env = Environment.of([
+            ExternalAnnouncement.make("ISP", "8.0.0.0/8", path_length=1)])
+        packet = Packet.to("8.8.8.8")
+        _, _, dataplane = agreement_check(network, env, packet.dst_ip)
+        assert dataplane.step("R2", packet) == (False, ())
+        assert dataplane.step("R1", packet) == (False, ("ISP",))
+        result = Verifier(network, preflight=False).verify(
+            P.Reachability(sources=["R2"], dest_peer="ISP"))
+        assert result.holds is False
+
     def test_statics_and_redistribution(self):
         from repro.net import NetworkBuilder
         from repro.sim import Environment

@@ -12,7 +12,6 @@ import pytest
 
 from repro import Verifier, obs
 from repro.core import BatchQuery, properties as P
-from repro.core.encoder import _edge_toward
 from repro.gen import random_scenario
 from repro.net import AclRule, NetworkBuilder
 from repro.net import ip as iplib
@@ -25,16 +24,11 @@ BOUNDS = (1, 0, 2)
 
 
 def multihop_sessions(network):
-    count = 0
-    for name, dev in network.devices.items():
-        if dev.bgp is None:
-            continue
-        for nbr in dev.bgp.neighbors:
-            if (nbr.remote_as == dev.bgp.asn
-                    and network.device_owning(nbr.peer_ip)
-                    and _edge_toward(network, name, nbr.peer_ip) is None):
-                count += 1
-    return count
+    return sum(
+        1
+        for name in network.devices
+        for s in network.sessions(name)
+        if s.internal and s.peer_device and s.edge is None)
 
 
 def test_seed_set_includes_a_multihop_session():

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.net import Network, NetworkBuilder, DeviceConfig
+from repro.net import DeviceConfig, ExternalPeer, Network, NetworkBuilder
 from repro.net import ip as iplib
 
 
@@ -130,3 +130,164 @@ class TestTopologyQueries:
         b.external_peer("R1", asn=65099)
         net = b.build()
         assert net.externals[0].name.startswith("ext-R1-")
+
+
+def only_session(net, router):
+    (session,) = net.sessions(router)
+    return session
+
+
+class TestSessionTable:
+    """One resolved record per ``neighbor`` statement."""
+
+    def test_adjacent_ebgp(self):
+        b = NetworkBuilder()
+        b.device("R1").enable_bgp(65001)
+        b.device("R2").enable_bgp(65002)
+        b.link("R1", "R2", subnet="10.0.12.0/30")
+        b.device("R1").bgp_neighbor("10.0.12.2", remote_as=65002)
+        back = b.device("R2").bgp_neighbor("10.0.12.1", remote_as=65001)
+        net = b.build()
+        s = only_session(net, "R1")
+        assert s.nbr is net.device("R1").bgp.neighbors[0]
+        assert s.peer == s.peer_device == "R2"
+        assert s.internal is False
+        assert s.edge == net.edge_between("R1", "R2")
+        assert s.local_address == iplib.parse_ip("10.0.12.1")
+        assert s.reverse is back
+
+    def test_adjacent_ibgp(self):
+        b = two_router_net()
+        b.ibgp_session("R1", "R2")
+        net = b.build()
+        s = only_session(net, "R2")
+        assert s.nbr is net.device("R2").bgp.neighbors[0]
+        assert s.peer == "R1"
+        assert s.internal is True
+        assert s.edge == net.edge_between("R2", "R1")
+        assert s.local_address == iplib.parse_ip("10.0.12.2")
+        assert s.reverse is net.device("R1").bgp.neighbors[0]
+
+    def test_multihop_ibgp(self):
+        b = NetworkBuilder()
+        for name in ("A", "B", "C"):
+            b.device(name).enable_bgp(65001)
+        b.link("A", "B", subnet="10.0.1.0/30")
+        b.link("B", "C", subnet="10.0.2.0/30")
+        b.device("A").bgp_neighbor("10.0.2.2", remote_as=65001)
+        back = b.device("C").bgp_neighbor("10.0.1.1", remote_as=65001)
+        net = b.build()
+        s = only_session(net, "A")
+        assert s.peer == "C"
+        assert s.internal is True
+        assert s.edge is None
+        # No subnet shared with C: A's first addressed interface.
+        assert s.local_address == iplib.parse_ip("10.0.1.1")
+        assert s.reverse is back
+
+    def test_external_peer_on_connected_subnet(self):
+        b = two_router_net()
+        b.external_peer("R1", asn=65099, name="N1", subnet="192.0.2.0/30")
+        net = b.build()
+        s = only_session(net, "R1")
+        peer_ip = iplib.parse_ip("192.0.2.2")
+        assert s.peer == ExternalPeer(name="N1", router="R1",
+                                      router_iface="eth1", peer_ip=peer_ip,
+                                      asn=65099)
+        assert s.peer_device is None
+        assert s.internal is False
+        assert s.edge is None
+        assert s.local_address == iplib.parse_ip("192.0.2.1")
+        assert s.reverse is None
+        assert net.external("R1", "N1") is s.peer
+        assert net.external("R1", peer_ip) is s.peer
+        assert net.external("R2", "N1") is None
+        assert net.external("R2", peer_ip) is None
+
+    def test_dead_session(self):
+        b = two_router_net()
+        b.device("R1").bgp_neighbor("203.0.113.9", remote_as=65000)
+        net = b.build()
+        s = only_session(net, "R1")
+        assert s.peer is None and s.peer_device is None
+        assert s.internal is False
+        assert s.edge is None
+        assert s.local_address == iplib.parse_ip("10.0.12.1")
+        assert s.reverse is None
+        assert net.externals == []
+
+    def test_owner_on_shutdown_interface(self):
+        b = two_router_net()
+        b.device("R2").interface("lo", "10.9.9.9/32").shutdown = True
+        b.device("R1").bgp_neighbor("10.9.9.9", remote_as=65001)
+        net = b.build()
+        assert net.device_owning(iplib.parse_ip("10.9.9.9")) == "R2"
+        s = only_session(net, "R1")
+        assert s.peer == "R2"
+        assert s.internal is True
+        assert s.edge is None
+        assert s.local_address == iplib.parse_ip("10.0.12.1")
+        assert s.reverse is None
+
+    def test_duplicated_address_goes_to_first_device(self):
+        b = NetworkBuilder()
+        for name in ("R3", "R1", "R2"):
+            b.device(name).enable_bgp(65001)
+        b.device("R3").interface("lo", "10.7.7.7/32")
+        b.device("R1").interface("lo", "10.7.7.7/32")
+        b.link("R2", "R1", subnet="10.0.12.0/30")
+        b.device("R2").bgp_neighbor("10.7.7.7", remote_as=65001)
+        net = b.build()
+        # Devices order, not name order: R3 owns the address.
+        assert net.device_owning(iplib.parse_ip("10.7.7.7")) == "R3"
+        s = only_session(net, "R2")
+        assert s.peer == "R3"
+        assert s.internal is True
+        assert s.edge is None
+        assert s.local_address == iplib.parse_ip("10.0.12.1")
+        assert s.reverse is None
+
+    def test_one_sided_session(self):
+        b = two_router_net()
+        b.device("R1").bgp_neighbor("10.0.12.2", remote_as=65001)
+        net = b.build()
+        s = only_session(net, "R1")
+        assert s.peer == "R2"
+        assert s.internal is True
+        assert s.edge == net.edge_between("R1", "R2")
+        assert s.local_address == iplib.parse_ip("10.0.12.1")
+        assert s.reverse is None
+        assert net.sessions("R2") == ()
+
+    def test_sessions_follow_statement_order(self):
+        b = two_router_net()
+        b.external_peer("R1", asn=65099)
+        b.device("R1").bgp_neighbor("203.0.113.9", remote_as=65000)
+        b.device("R1").bgp_neighbor("10.0.12.2", remote_as=65001)
+        net = b.build()
+        assert [s.nbr for s in net.sessions("R1")] == \
+            net.device("R1").bgp.neighbors
+        assert net.sessions("missing") == ()
+
+
+def _index_networks():
+    from repro.gen import build_cloud_network, build_fattree, random_scenario
+
+    for seed in range(10):
+        yield random_scenario(seed).network
+    yield build_fattree(2).network
+    for index in (0, 67, 96, 120, 151):
+        yield build_cloud_network(index).network
+
+
+def test_owner_index_matches_a_scan_of_every_interface():
+    for net in _index_networks():
+        in_use = {iface.address for dev in net.devices.values()
+                  for iface in dev.interfaces.values()}
+        in_use |= {nbr.peer_ip for dev in net.devices.values() if dev.bgp
+                   for nbr in dev.bgp.neighbors}
+        for address in in_use:
+            scan = next((name for name, dev in net.devices.items()
+                         for iface in dev.interfaces.values()
+                         if iface.address == address), None)
+            assert net.device_owning(address) == scan

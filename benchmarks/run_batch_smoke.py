@@ -2,8 +2,10 @@
 
 Runs the per-prefix audit battery from ``test_bench_batch`` on a small
 fat-tree, asserts that batch results are identical to the naive
-per-query loop (serial and with workers), and prints the measured
-speedup.  Exits non-zero on any mismatch.
+per-query loop, and prints the measured speedup.  Serially the batch
+answers every prefix from one encoding, each query under its prefix as
+an assumption; with two workers the prefixes are dealt into two
+groups, one encoding each.  Exits non-zero on any mismatch.
 
 The full acceptance benchmark (20-router fat-tree, minutes of wall
 clock) lives in ``benchmarks/test_bench_batch.py``.

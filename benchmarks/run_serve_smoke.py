@@ -17,9 +17,9 @@ whole verification-as-a-service lifecycle over HTTP:
   encode phases were skipped outright), and verdicts again match a
   fresh solve (``encoding_hit_on_warm``, ``warm_encode_skipped``,
   ``encoding_warm_verdict_match``).
-* **One encoding per prefix** — a batch holding a k=0 and a k=1 query
-  for one prefix (cached so far at k=0) must rebuild that prefix's
-  encoding once, at k=1 (``misses == 1``, visible as
+* **One encoding for every bound** — a batch holding a k=0 and a k=1
+  query for one prefix (cached so far at k=0) must rebuild the
+  snapshot's encoding once, at k=1 (``misses == 1``, visible as
   ``engine_encoding_bound_raised_total`` on ``/metrics``); a following
   k=0 ``/verify`` must hit it and return the fresh k=0 verdict
   (``bound_shared_encoding``, ``bound_verdict_match``).

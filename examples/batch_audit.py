@@ -2,12 +2,12 @@
 """Batch-audit a fat-tree: one engine run, many properties.
 
 The per-property loop in ``datacenter_audit.py`` re-encodes the network
-for every query.  The batch engine groups queries by destination prefix
-(and failure bound), encodes each group once, and discharges the
-properties incrementally in one solver — optionally spreading groups
-over worker processes.  This example audits two rack prefixes with the
-five-property battery per rack and compares batch against the naive
-loop.
+for every query.  The batch engine encodes the network once and
+discharges the properties incrementally in one solver, each under its
+destination prefix and failure bound as assumptions — optionally
+dealing the prefixes over worker processes, one encoding each.  This
+example audits two rack prefixes with the five-property battery per
+rack and compares batch against the naive loop.
 
 Run:  python examples/batch_audit.py [pods] [workers]
 """

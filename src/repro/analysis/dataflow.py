@@ -299,7 +299,10 @@ def transfer(
 class Dataflow:
     """Per-device propagation summaries (all over-approximate)."""
 
-    network: Network
+    #: the network's devices, not the network: the network keeps this
+    #: summary, so a pointer back would keep both alive until the
+    #: cyclic collector runs
+    devices: Dict[str, DeviceConfig]
     #: prefixes a device can inject itself (connected, static, BGP
     #: network/aggregate statements)
     origin: Dict[str, PrefixSet] = field(default_factory=dict)
@@ -337,7 +340,7 @@ class Dataflow:
         the verdict as much as a permit.  An unbound map has an empty
         input: every clause is cold.
         """
-        dev = self.network.devices[device]
+        dev = self.devices[device]
         rmap = dev.route_maps.get(map_name)
         if rmap is None:
             return frozenset()
@@ -443,7 +446,7 @@ def _fixpoint(network: Network) -> Dataflow:
     cap widens every summary to ANY instead of ever returning a
     partial — hence unsound — result.
     """
-    df = Dataflow(network=network)
+    df = Dataflow(devices=network.devices)
     names = network.router_names()
     for name in names:
         df.origin[name] = _origin_set(network.devices[name])
@@ -465,7 +468,9 @@ def _fixpoint(network: Network) -> Dataflow:
                 inflow_total = inflow_total.union(
                     transfer(dev, session.nbr.route_map_in, inflow)
                 )
-            for peer in ospf_peers.get(name, ()):
+            # Sorted: the union's result, and so the iteration count,
+            # must not depend on the interpreter's string hash seed.
+            for peer in sorted(ospf_peers.get(name, ())):
                 # OSPF floods the peer's routing information wholesale
                 # (including redistribution); no per-prefix filtering.
                 inflow_total = inflow_total.union(routes[peer])

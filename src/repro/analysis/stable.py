@@ -26,7 +26,8 @@ SAT encoding as before.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.net import ip as iplib
@@ -141,7 +142,10 @@ def stable_state(network: Network):
     :func:`fixed_verdict` checks per prefix), else None.  Computed
     once per ``Network`` and kept on it, as
     :func:`~repro.analysis.dataflow.analyze_dataflow` keeps its
-    fixpoint: no code edits a ``Network`` once it is built.
+    fixpoint: no code edits a ``Network`` once it is built.  The
+    result's ``network`` is a weak proxy, so it is usable only while
+    the caller holds the network; a strong pointer back would leave
+    both to the cyclic collector.
     """
     if "_stable_state" not in network.__dict__:
         state = None
@@ -150,7 +154,7 @@ def stable_state(network: Network):
 
             result = simulate(network)
             if result.converged:
-                state = result
+                state = replace(result, network=weakref.proxy(network))
         network._stable_state = state
     return network._stable_state
 

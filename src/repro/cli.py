@@ -247,8 +247,9 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--max-failures", type=int, default=None)
     parser.add_argument("--announced-by", nargs="*", default=[])
     parser.add_argument("--workers", type=int, default=1,
-                        help="process-pool workers for query groups "
-                             "(1 = serial)")
+                        help="process-pool workers; the destination "
+                             "prefixes are dealt into one group per "
+                             "worker (1 = serial, one encoding)")
 
 
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:

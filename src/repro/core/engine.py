@@ -9,13 +9,20 @@ queries only differ in the property term.
 
 This engine exploits two levers:
 
-* **Shared-encoding incremental solving.**  Queries are grouped by
-  destination prefix; the group's network is encoded once, at the
-  largest effective failure bound K among its members, and loaded into
+* **Shared-encoding incremental solving.**  A *group* is a set of
+  queries that share one encoding: the network is encoded once, at the
+  largest effective failure bound K among the members, and loaded into
   one :class:`Solver`.  The §5 bound is one cardinality constraint over
   the failure bits, so a K encoding holds every smaller bound: a member
   with k < K is checked under the extra assumption "at most k links
-  fail" (:meth:`EncodedNetwork.failures_at_most`).  Each property's
+  fail" (:meth:`EncodedNetwork.failures_at_most`).  The destination
+  prefix is an assumption the same way: an encoding whose symbolic
+  ``dstIp`` ranges over every address (§3) checks a query on prefix D
+  under ``dstIp ∈ D``.  Only a group whose members all share one prefix
+  D, and whose encoding is not cached, is encoded restricted to D, which
+  enables the connected-route slice.  On the serial path, and whenever
+  an encoding cache is in use, all of a run's undecided queries form one
+  group.  Each property's
   instrumentation is asserted *guarded by a fresh activation literal*
   (``act → c`` for every instrumentation constraint ``c``) and the check
   runs under ``assumptions=[act, ¬P]``.  Guarding matters: property
@@ -27,8 +34,10 @@ This engine exploits two levers:
   Sörensson, 2003), so spent instrumentation is satisfied at the root,
   and every answer is identical to a fresh per-query solve.
 
-* **Process-pool parallelism across groups.**  Groups are independent
-  (they share no solver), so with ``workers > 1`` they run under a
+* **Process-pool parallelism across groups.**  With ``workers > 1`` and
+  no encoding cache, the distinct prefixes are sorted and dealt
+  round-robin into ``min(workers, prefixes)`` groups.  Groups are
+  independent (they share no solver), so they run under a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Results are reordered
   to query order regardless of completion order, and any pool failure
   (spawn errors, pickling issues) falls back to the serial path.
@@ -45,9 +54,9 @@ Before any of that, planning asks :func:`repro.analysis.stable.fixed_verdict`
 whether the network already fixes a query's verdict (a loop query with
 no pivot; reachability or black holes at k=0 on a prefix with one
 stable state).  Such a query is answered from the simulated state with
-``method="simulation"``; a group whose members are all answered so
-builds no encoding, touches no encoding cache and is never shipped to
-a worker.
+``method="simulation"`` and joins no group: a batch answered whole so
+builds no encoding, touches no encoding cache and ships nothing to a
+worker.
 """
 
 from __future__ import annotations
@@ -64,6 +73,7 @@ from repro.net.topology import Network
 from repro.smt import SAT, Solver, UNKNOWN, UNSAT, implies, not_, or_
 from .counterexample import extract_counterexample
 from .encoder import EncoderOptions, NetworkEncoder
+from .policy_smt import fbm_const
 from .properties import Property
 from .verifier import (
     VerificationResult,
@@ -96,10 +106,7 @@ class BatchQuery:
         return self.label or type(self.prop).__name__
 
 
-# Group key: the destination prefix.  Options are engine-wide and
-# identical across groups except for the failure bound, which is the
-# largest effective bound among the group's members.
-_GroupKey = Optional[Tuple[int, int]]
+_Members = List[Tuple[int, BatchQuery]]
 
 # Stable states a lazy query may refine away before giving up UNKNOWN.
 _LAZY_ITERATIONS = 200
@@ -108,6 +115,8 @@ _LAZY_ITERATIONS = 200
 class GroupEncoding:
     """The shared, reusable state of one query group: the encoded
     network plus an incremental solver loaded with its constraints.
+    With ``dst_prefix`` the encoding is restricted to that prefix and
+    answers only queries about it; without, it answers any prefix.
 
     This is the expensive artifact batch verification amortizes — and
     the unit a long-lived service (``repro serve``) caches across
@@ -149,18 +158,22 @@ class GroupEncoding:
         """Byte-size estimate for cache budgeting.
 
         Exact deep sizes of term graphs are unaffordable to compute;
-        this estimate is linear in the CNF variables and the learnt
-        clauses kept.  The constants were fitted to the bytes
-        tracemalloc sees freed when a warm group (one reachability
-        query discharged) is dropped, at failure bounds 0 and 1:
-        pods-2 fat-tree groups (~2,170 vars, 1.5-1.7 MB), 3- to
-        6-router cloud-corpus groups (2,080-5,140 vars, 1.4-3.2 MB) and
-        cloud networks 11 and 2 (9,400-10,600 vars, 1,000-6,460 learnt
-        clauses, 7.1-9.9 MB): every estimate lies within 0.90-1.10x of
-        its measurement.  Problem clauses grow with vars.
+        this estimate is linear in the CNF variables, the live problem
+        clauses and the learnt clauses kept.  The constants were fitted
+        to the bytes tracemalloc sees freed when a warm encoding is
+        dropped: restricted groups after one reachability query at
+        failure bounds 0 and 1 (pods-2 fat-tree, cloud-corpus networks
+        0, 2, 5, 11 and 40; 2,130-11,120 vars, up to 4,680 learnt
+        clauses, 1.4-9.6 MB), and prefix-free encodings of serve-mix's
+        two snapshots after 1 to 112 queries (2,940-7,460 vars, 2.6-7.8
+        MB).  Every estimate lies within 0.93-1.07x of its
+        measurement.  Live clauses need their own term: a prefix-free
+        encoding keeps 2.8-3.3 per variable, where a restricted one,
+        simplified under its prefix, keeps 1.4-2.1.
         """
-        return (4096 + 670 * self.solver.num_variables
-                + 450 * self.solver.stats["learned"])
+        stats = self.solver.stats
+        return (4096 + 400 * self.solver.num_variables
+                + 150 * stats["live_clauses"] + 450 * stats["learned"])
 
     def solve_one(self, query: "BatchQuery", tracer=None,
                   shared_share: float = 0.0) -> VerificationResult:
@@ -172,7 +185,10 @@ class GroupEncoding:
 
         The query's effective failure bound k may be below the
         encoding's bound K; it is then checked under the assumption
-        that at most k links fail.
+        that at most k links fail.  On an encoding not restricted to a
+        prefix, the query's destination prefix D is one more
+        assumption, ``dstIp ∈ D``: the same constraint a restricted
+        encoding asserts at the root.
         """
         tracer = tracer if tracer is not None else obs.active()
         enc, solver, prop = self.enc, self.solver, query.prop
@@ -182,6 +198,12 @@ class GroupEncoding:
         if k > bound:
             raise ValueError(f"query {query.name()} needs k={k}, "
                              f"but the encoding bounds failures at {bound}")
+        prefix = prop.dst_prefix()
+        if self.dst_prefix is not None and prefix != self.dst_prefix:
+            raise ValueError(
+                f"query {query.name()} is about {_prefix_text(prefix)}, "
+                f"but the encoding is restricted to "
+                f"{_prefix_text(self.dst_prefix)}")
         with self.lock:
             qspan = tracer.span("batch.query", query=query.name(),
                                 max_failures=k)
@@ -206,6 +228,10 @@ class GroupEncoding:
                         at_most = enc.failures_at_most(k)
                         if at_most.kind != "true":
                             assumptions.append(at_most)
+                    if self.dst_prefix is None and prefix is not None:
+                        inside = fbm_const(enc.dst_ip, *prefix)
+                        if inside.kind != "true":
+                            assumptions.append(inside)
                     for assumption in query.assumptions:
                         assumptions.append(assumption(enc))
                 if lazy:
@@ -278,15 +304,14 @@ class BatchEngine:
         # with ``cached=True``; see repro.analysis.deps for the
         # soundness argument behind the keys.
         self.verdict_cache = verdict_cache
-        # Cross-run reuse of whole group encodings: an object with
-        # ``get(key)``, ``put(key, value, size_bytes)`` and
+        # Cross-run reuse of the network's one prefix-free encoding: an
+        # object with ``get(key)``, ``put(key, value, size_bytes)`` and
         # ``resize(key, value, size_bytes)`` (e.g.
         # ``repro.serve.TTLLRUCache``) holding :class:`GroupEncoding`
         # instances.  ``encoding_scope`` namespaces the keys (the
         # service uses ``{tenant}/{snapshot}/``) so unrelated networks
         # never collide.  Solvers cannot cross process boundaries, so
-        # the cache is consulted only on the serial path; with
-        # ``workers > 1`` it is ignored.
+        # with a cache every run is serial, whatever ``workers`` says.
         self.encoding_cache = encoding_cache
         self.encoding_scope = encoding_scope
         #: per-run encoding-cache outcome, ``{"hits": n, "misses": m}``
@@ -307,7 +332,7 @@ class BatchEngine:
                      for q in queries]
             results: List[Optional[VerificationResult]] = \
                 [None] * len(batch)
-            groups: Dict[_GroupKey, List[Tuple[int, BatchQuery]]] = {}
+            pending: _Members = []
             cache_keys: Dict[int, str] = {}
             metrics = obs.metrics()
             with tracer.span("batch.plan"):
@@ -333,31 +358,18 @@ class BatchEngine:
                                                query.max_failures,
                                                self.options)
                     query = replace(query, max_failures=k)
-                    groups.setdefault(query.prop.dst_prefix(), []).append(
-                        (index, query))
                     results[index] = decide(self.network, query, k, tracer)
+                    if results[index] is None:
+                        pending.append((index, query))
+                groups = self._groups(pending)
             root.set(groups=len(groups))
             metrics.counter("batch.queries").inc(len(batch))
             metrics.counter("batch.groups").inc(len(groups))
 
-            # Groups keep only the members planning left undecided; a
-            # group with none left builds no encoding.
-            pending = {}
-            for key, members in groups.items():
-                todo = [(i, q) for i, q in members if results[i] is None]
-                if todo:
-                    pending[key] = todo
-                else:
-                    _decided_group_span(tracer, key, members)
-            if (self.workers > 1 and len(pending) > 1
-                    and self.encoding_cache is None):
-                done = self._run_parallel(pending, results)
-            else:
-                done = False
+            done = len(groups) > 1 and self._run_parallel(groups, results)
             if not done:
-                for key, members in pending.items():
-                    pairs, _ = self._run_group(key, members)
-                    for index, result in pairs:
+                for members in groups:
+                    for index, result in self._run_group(members):
                         results[index] = result
 
             if self.verdict_cache is not None:
@@ -395,8 +407,29 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
 
-    def _group_options(self, members: List[Tuple[int, BatchQuery]]
-                       ) -> EncoderOptions:
+    def _groups(self, pending: _Members) -> List[_Members]:
+        """Split the undecided queries into groups, each answered by
+        one encoding.
+
+        Serially, and whenever encodings are cached, all of them form
+        one group.  For the process pool the distinct prefixes are
+        sorted and dealt round-robin into ``min(workers, prefixes)``
+        groups, so each worker encodes the network once.
+        """
+        if not pending:
+            return []
+        if self.workers == 1 or self.encoding_cache is not None:
+            return [pending]
+        prefixes = sorted({query.prop.dst_prefix() for _, query in pending},
+                          key=_prefix_order)
+        count = min(self.workers, len(prefixes))
+        slot = {prefix: i % count for i, prefix in enumerate(prefixes)}
+        groups: List[_Members] = [[] for _ in range(count)]
+        for index, query in pending:
+            groups[slot[query.prop.dst_prefix()]].append((index, query))
+        return groups
+
+    def _group_options(self, members: _Members) -> EncoderOptions:
         """The engine options at the group's bound: the largest
         effective bound among its (bound-pinned) members."""
         k = max(query.max_failures for _, query in members)
@@ -405,19 +438,19 @@ class BatchEngine:
             options = replace(options, max_failures=k)
         return options
 
-    def encoding_cache_key(self, dst: _GroupKey) -> str:
-        """The scoped cache key of one group's encoding:
-        ``{scope}enc/{dst-prefix}/{options-digest}``.  The failure bound
-        is not part of it: an encoding at bound K answers any k <= K."""
+    def encoding_cache_key(self) -> str:
+        """The scoped cache key of the network's one shared encoding:
+        ``{scope}enc/{options-digest}``.  Neither the destination prefix
+        nor the failure bound is part of it: a cached encoding is
+        restricted to no prefix, and an encoding at bound K answers any
+        k <= K."""
         from repro.analysis.deps import options_digest
 
-        prefix = iplib.format_prefix(*dst) if dst else "any"
-        digest = options_digest(self.options)
-        return f"{self.encoding_scope}enc/{prefix}/{digest}"
+        return f"{self.encoding_scope}enc/{options_digest(self.options)}"
 
-    def _cached_group(self, dst: _GroupKey, options: EncoderOptions,
+    def _cached_group(self, options: EncoderOptions,
                       ckey: str) -> Tuple[GroupEncoding, bool]:
-        """Fetch (or build and insert) the group's encoding via the
+        """Fetch (or build and insert) the network's encoding via the
         encoding cache.  Returns ``(group, reused)``: a reused group
         already paid its encode cost in some earlier run, so stats for
         this run's queries attribute zero shared encoding time.
@@ -435,31 +468,29 @@ class BatchEngine:
             metrics.counter("engine.encoding_bound_raised").inc()
         self.last_encoding_stats["misses"] += 1
         metrics.counter("engine.encoding_cache_miss").inc()
-        group = GroupEncoding(self.network, options,
-                              self.conflict_budget, dst)
+        group = GroupEncoding(self.network, options, self.conflict_budget)
         self.encoding_cache.put(ckey, group, group.cache_size())
         return group, False
 
-    def _run_group(self, dst: _GroupKey,
-                   members: List[Tuple[int, BatchQuery]],
-                   ) -> Tuple[List[Tuple[int, VerificationResult]],
-                              Optional[Dict]]:
-        group, reused, ckey = None, False, None
+    def _run_group(self, members: _Members
+                   ) -> List[Tuple[int, VerificationResult]]:
         options = self._group_options(members)
-        if self.encoding_cache is not None:
-            ckey = self.encoding_cache_key(dst)
-            group, reused = self._cached_group(dst, options, ckey)
-            options = group.options
-        out = _solve_group(self.network, options,
-                           self.conflict_budget, dst, members,
-                           group=group, group_reused=reused)
-        if group is not None:
-            # This run's queries grew the encoding (learnt clauses,
-            # Tseitin gates, retire units).  ``resize`` re-measures it
-            # only while ``ckey`` still holds it, so an encoding that was
-            # replaced or evicted meanwhile is not put back.
-            self.encoding_cache.resize(ckey, group, group.cache_size())
-        return out
+        if self.encoding_cache is None:
+            pairs, _ = _solve_group(self.network, options,
+                                    self.conflict_budget,
+                                    _shared_prefix(members), members)
+            return pairs
+        ckey = self.encoding_cache_key()
+        group, reused = self._cached_group(options, ckey)
+        pairs, _ = _solve_group(self.network, group.options,
+                                self.conflict_budget, None, members,
+                                group=group, group_reused=reused)
+        # This run's queries grew the encoding (learnt clauses, Tseitin
+        # gates, retire units).  ``resize`` re-measures it only while
+        # ``ckey`` still holds it, so an encoding that was replaced or
+        # evicted meanwhile is not put back.
+        self.encoding_cache.resize(ckey, group, group.cache_size())
+        return pairs
 
     def _run_parallel(self, groups, results) -> bool:
         """Run groups in a process pool.  Returns False (leaving
@@ -471,18 +502,18 @@ class BatchEngine:
         and ships them back with its results; they are merged here, at
         join, each group on its own lane.
         """
-        items = list(groups.items())
-        workers = min(self.workers, len(items))
+        workers = len(groups)
         tracer = obs.active()
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 futures = [
                     pool.submit(_solve_group, self.network,
                                 self._group_options(members),
-                                self.conflict_budget, key, members,
+                                self.conflict_budget,
+                                _shared_prefix(members), members,
                                 collect_trace=tracer.enabled,
                                 run_id=obslog.run_id())
-                    for key, members in items]
+                    for members in groups]
                 for future in as_completed(futures):
                     pairs, trace_payload = future.result()
                     for index, result in pairs:
@@ -497,8 +528,8 @@ class BatchEngine:
             obslog.warn_event(
                 "engine.pool_fallback",
                 f"batch process pool failed ({exc!r}); "
-                f"re-running {len(items)} groups serially",
-                groups=len(items), workers=workers, error=repr(exc))
+                f"re-running {len(groups)} groups serially",
+                groups=len(groups), workers=workers, error=repr(exc))
             return False
         return True
 
@@ -531,34 +562,42 @@ def decide(network: Network, query: BatchQuery, k: int,
                               seconds=sp.duration, method="simulation")
 
 
-def _group_lane(dst_prefix: Optional[Tuple[int, int]], k: int) -> str:
-    prefix = (iplib.format_prefix(*dst_prefix) if dst_prefix
-              else "any-prefix")
-    return f"group {prefix} k={k}"
+def _prefix_order(prefix: Optional[Tuple[int, int]]):
+    return (prefix is not None, prefix or (0, 0))
 
 
-def _decided_group_span(tracer, dst_prefix: Optional[Tuple[int, int]],
-                        members: List[Tuple[int, BatchQuery]]) -> None:
-    """The ``batch.group`` span of a group planning decided whole: it
-    encodes nothing, so it only marks the group in the trace."""
-    k = max(query.max_failures for _, query in members)
-    with tracer.span("batch.group", queries=len(members), max_failures=k,
-                     reused=False, decided=len(members),
-                     dst_prefix=_group_lane(dst_prefix, k)):
-        pass
+def _prefix_text(prefix: Optional[Tuple[int, int]]) -> str:
+    return iplib.format_prefix(*prefix) if prefix else "any-prefix"
+
+
+def _shared_prefix(members: _Members) -> Optional[Tuple[int, int]]:
+    """The prefix every member is about, or None when they differ: an
+    uncached group's encoding is restricted to it."""
+    prefixes = {query.prop.dst_prefix() for _, query in members}
+    return prefixes.pop() if len(prefixes) == 1 else None
+
+
+def _group_lane(members: _Members, k: int) -> str:
+    """``group {first prefix}[+{more}] k={k}``: unique per pool group,
+    since each prefix is dealt to one group."""
+    prefixes = sorted({query.prop.dst_prefix() for _, query in members},
+                      key=_prefix_order)
+    more = f"+{len(prefixes) - 1}" if len(prefixes) > 1 else ""
+    return f"group {_prefix_text(prefixes[0])}{more} k={k}"
 
 
 def _solve_group(network: Network, options: EncoderOptions,
                  conflict_budget: Optional[int],
                  dst_prefix: Optional[Tuple[int, int]],
-                 members: List[Tuple[int, BatchQuery]],
+                 members: _Members,
                  collect_trace: bool = False,
                  run_id: Optional[str] = None,
                  group: Optional[GroupEncoding] = None,
                  group_reused: bool = False,
                  ) -> Tuple[List[Tuple[int, VerificationResult]],
                             Optional[Dict]]:
-    """Encode the network once and discharge every query of the group.
+    """Encode the network once (restricted to ``dst_prefix``, if any)
+    and discharge every query of the group.
 
     Module-level so it can be pickled to process-pool workers (the
     pool path never ships ``group`` — a live solver cannot cross a
@@ -570,11 +609,11 @@ def _solve_group(network: Network, options: EncoderOptions,
     """
     if run_id is not None:
         obslog.set_run_id(run_id)
-    lane = _group_lane(dst_prefix, options.max_failures)
+    lane = _group_lane(members, options.max_failures)
     if collect_trace:
         tracer = obs.Tracer(lane=lane)
         with obs.use(tracer):
-            pairs = _solve_group_traced(tracer, network, options,
+            pairs = _solve_group_traced(tracer, lane, network, options,
                                         conflict_budget, dst_prefix,
                                         members)
         return pairs, tracer.export()
@@ -583,23 +622,23 @@ def _solve_group(network: Network, options: EncoderOptions,
         # Stats-only throwaway tracer: per-result timing fields always
         # come from spans, traced or not.
         tracer = obs.Tracer(lane=lane)
-    return (_solve_group_traced(tracer, network, options, conflict_budget,
-                                dst_prefix, members, group=group,
-                                group_reused=group_reused), None)
+    return (_solve_group_traced(tracer, lane, network, options,
+                                conflict_budget, dst_prefix, members,
+                                group=group, group_reused=group_reused),
+            None)
 
 
-def _solve_group_traced(tracer, network: Network, options: EncoderOptions,
+def _solve_group_traced(tracer, lane: str, network: Network,
+                        options: EncoderOptions,
                         conflict_budget: Optional[int],
                         dst_prefix: Optional[Tuple[int, int]],
-                        members: List[Tuple[int, BatchQuery]],
+                        members: _Members,
                         group: Optional[GroupEncoding] = None,
                         group_reused: bool = False,
                         ) -> List[Tuple[int, VerificationResult]]:
     group_span = tracer.span("batch.group", queries=len(members),
                              max_failures=options.max_failures,
-                             reused=group_reused,
-                             dst_prefix=_group_lane(dst_prefix,
-                                                    options.max_failures))
+                             reused=group_reused, dst_prefix=lane)
     out: List[Tuple[int, VerificationResult]] = []
     with group_span:
         if group is None:

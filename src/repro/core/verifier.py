@@ -322,14 +322,16 @@ class Verifier:
 
         ``queries`` is a sequence of :class:`Property` instances or
         :class:`repro.core.engine.BatchQuery` objects (which add a
-        per-query failure bound, assumptions and a label).  Queries are
-        grouped by destination prefix; each group encodes the network
-        once, at the largest effective failure bound among its queries,
-        and discharges every property in it via assumption-based
-        incremental checks (a smaller bound k is one more assumption,
-        "at most k links fail").  With ``workers > 1``
-        groups run in a process pool; results always come back in query
-        order, identical to per-query :meth:`verify` answers.
+        per-query failure bound, assumptions and a label).  The network
+        is encoded once, at the largest effective failure bound among
+        the queries, and every property is discharged via
+        assumption-based incremental checks: a smaller bound k is one
+        more assumption, "at most k links fail", and so is the query's
+        destination prefix.  With ``workers > 1`` (and no
+        ``encoding_cache``) the distinct prefixes are dealt into at
+        most ``workers`` groups, one encoding each, run in a process pool;
+        results always come back in query order, identical to
+        per-query :meth:`verify` answers.
 
         ``verdict_cache`` (e.g. :class:`repro.diff.VerdictCache`)
         enables slice-aware planning: queries whose dependency-slice
@@ -337,10 +339,11 @@ class Verifier:
         (``result.cached`` is True) instead of being solved.
 
         ``encoding_cache`` (e.g. :class:`repro.serve.TTLLRUCache`)
-        makes whole group encodings — encoded network plus loaded
-        incremental solver — outlive this call: a later batch over the
-        same groups skips encode entirely.  ``encoding_scope`` prefixes
-        the cache keys (see :meth:`BatchEngine.encoding_cache_key`).
+        makes the network's one encoding — encoded network plus loaded
+        incremental solver, restricted to no prefix — outlive this
+        call: a later batch on the same network skips encode entirely.
+        ``encoding_scope`` prefixes the cache keys (see
+        :meth:`BatchEngine.encoding_cache_key`).
         """
         from .engine import BatchEngine
 

@@ -184,7 +184,7 @@ class TTLLRUCache:
 
     def evict_scope(self, prefix: str) -> int:
         """Drop every entry whose key starts with ``prefix`` (snapshot
-        delete/refresh).  Returns the number of entries dropped."""
+        delete).  Returns the number of entries dropped."""
         with self._lock:
             doomed = [k for k in self._entries if k.startswith(prefix)]
             for key in doomed:

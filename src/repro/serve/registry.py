@@ -320,7 +320,12 @@ class SnapshotRegistry:
     ) -> Tuple[Snapshot, Dict]:
         """Swap a snapshot's configs in place, keeping its verdict
         cache so the next verify is differential.  Returns the updated
-        snapshot plus a device-level change summary."""
+        snapshot plus a device-level change summary.
+
+        The old revision's cached network and encoding stay: scopes are
+        content-addressed, so a refresh back to that revision reuses
+        them exactly, and LRU, TTL and the byte budget reclaim them
+        otherwise."""
         texts = {_safe_filename(k): v for k, v in texts.items()}
         network = self._build(texts)
         with self._lock:
@@ -335,8 +340,10 @@ class SnapshotRegistry:
             snap.routers = len(network.devices)
             snap.refreshed = time.time()
             snap.refreshes += 1
-        self.cache.evict_scope(old_scope)
-        self.cache.put(snap.scope + "net", network, _network_size(texts))
+        # Back to a revision still cached: keep its network, which its
+        # encoding and analyses were built on.
+        if self.cache.get(snap.scope + "net") is None:
+            self.cache.put(snap.scope + "net", network, _network_size(texts))
         self._persist(snap)
         obs.metrics().counter("serve.snapshots.refreshed").inc()
         log_event(

@@ -6,7 +6,7 @@ through it the cross-request :class:`~repro.serve.cache.TTLLRUCache`),
 the process-wide :class:`~repro.obs.Tracer` whose metrics registry
 backs ``GET /metrics``, and the run ledger path.  Request handling is
 thread-per-request; everything the handlers touch is either immutable,
-lock-protected (registry, cache, per-group solvers), or thread-scoped
+lock-protected (registry, cache, per-snapshot solvers), or thread-scoped
 (run ids, span stacks).
 
 API (all bodies JSON; tenant from the ``X-Repro-Tenant`` header,

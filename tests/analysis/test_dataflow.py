@@ -211,6 +211,34 @@ router bgp 65003
     assert not df.learned["c"].is_any
 
 
+# Cloud-corpus networks whose fixpoint once took 4 or 5 iterations
+# depending on the order a set of OSPF peer names iterated in.
+_ORDERED_FIXPOINT = """
+from repro.analysis.dataflow import _fixpoint
+from repro.gen import build_cloud_network
+print([_fixpoint(build_cloud_network(i).network).iterations
+       for i in (9, 87, 105)])
+"""
+
+
+def test_fixpoint_iterations_do_not_depend_on_the_hash_seed():
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    counts = []
+    for seed in ("0", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", _ORDERED_FIXPOINT],
+                              env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        counts.append(done.stdout.strip())
+    assert counts[0] == counts[1]
+
+
 def test_hot_clause_seqs_distinguish_relevant_clauses():
     texts = dict(CHAIN)
     texts["b.cfg"] = texts["b.cfg"] + """\

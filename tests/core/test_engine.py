@@ -249,8 +249,7 @@ class TestEncodingCache:
         engine = BatchEngine(undecided_chain(2), encoding_cache=cache)
         prop = P.Reachability(sources=["R1"],
                               dest_prefix_text="10.9.0.0/24")
-        return engine, cache, prop, engine.encoding_cache_key(
-            prop.dst_prefix())
+        return engine, cache, prop, engine.encoding_cache_key()
 
     def test_larger_bound_encoding_answers_smaller_k(self):
         engine, cache, prop, key = self._bound_engine()
@@ -325,7 +324,7 @@ class TestEncodingCache:
                              encoding_scope="tenant/snap/")
         prop = P.Reachability(sources=["R1"],
                               dest_prefix_text="10.9.0.0/24")
-        key = engine.encoding_cache_key(prop.dst_prefix())
+        key = engine.encoding_cache_key()
         real_solve = engine_mod._solve_group
 
         def solve_after_a_refresh(*args, **kwargs):
@@ -366,13 +365,17 @@ class TestEncodingCache:
         assert (sat._assign[spent], sat._level[spent]) == (0, 0)
         assert (sat._assign[live], sat._level[live]) != (0, 0)
 
-    @pytest.mark.parametrize("source", ["fattree", "cloud", "long-search"])
+    @pytest.mark.parametrize("source",
+                             ["fattree", "cloud", "long-search", "shared"])
     def test_size_estimate_tracks_measured_footprint(self, source):
         """``cache_size`` is within 1.5x of the bytes a warm group
         frees when it is dropped, so ``--cache-bytes`` bounds roughly
         the memory it says.  The long-search group's first check runs
         a few hundred conflicts to a violation (the others run a few
-        dozen), so learnt clauses are a share of its footprint."""
+        dozen), so learnt clauses are a share of its footprint.  The
+        shared encoding is restricted to no prefix (as a cached one
+        is) and answers two prefixes at two bounds, on serve-mix's
+        cloud snapshot."""
         import gc
         import tracemalloc
 
@@ -383,18 +386,27 @@ class TestEncodingCache:
         bound = 0 if source == "long-search" else 1
         if source == "fattree":
             tree = build_fattree(2)
-            network, prefix = tree.network, tree.tor_subnet(tree.tors[0])
+            network, prefixes = tree.network, [tree.tor_subnet(tree.tors[0])]
         else:
-            cloud = build_cloud_network(40 if source == "cloud" else 0)
-            network, prefix = cloud.network, cloud.management_prefixes[0]
+            index = {"cloud": 40, "long-search": 0, "shared": 51}[source]
+            cloud = build_cloud_network(index)
+            network = cloud.network
+            prefixes = cloud.management_prefixes[:2 if source == "shared"
+                                                 else 1]
+        queries = [BatchQuery(P.Reachability(sources="all",
+                                             dest_prefix_text=prefix),
+                              max_failures=k)
+                   for prefix in prefixes
+                   for k in ((0, 1) if source == "shared" else (bound,))]
+        dst = None if source == "shared" else iplib.parse_prefix(prefixes[0])
         gc.collect()
         tracemalloc.start()
         try:
             group = GroupEncoding(network,
                                   EncoderOptions(max_failures=bound),
-                                  dst_prefix=iplib.parse_prefix(prefix))
-            group.solve_one(BatchQuery(
-                P.Reachability(sources="all", dest_prefix_text=prefix)))
+                                  dst_prefix=dst)
+            for query in queries:
+                group.solve_one(query)
             estimate = group.cache_size()
             gc.collect()
             held = tracemalloc.get_traced_memory()[0]

@@ -273,7 +273,7 @@ def test_rejects_reach_to_the_dark_prefix():
 
 
 # ---------------------------------------------------------------------------
-# Decided groups build and ship nothing
+# Decided queries build and ship nothing
 # ---------------------------------------------------------------------------
 
 
@@ -307,7 +307,7 @@ def test_decided_batch_builds_no_encoding(monkeypatch):
     assert snap["engine.simulation_decided"]["value"] == len(results)
     names = [s["name"] for s in tracer.spans]
     assert names.count("sim.decide") == len(results)
-    assert names.count("batch.group") == len(tree.tors)
+    assert names.count("batch.group") == 0
 
 
 class RecordingPool:
@@ -348,6 +348,39 @@ def test_workers_ship_no_decided_group(monkeypatch):
     assert sorted(RecordingPool.shipped) == expected
     assert [r.method for r in results[-2:]] == ["sat", "sat"]
     assert [r.holds for r in results[-2:]] == [False, False]
+
+
+def test_a_dropped_network_is_freed_without_the_collector():
+    """The stable state and the dataflow summary a network keeps hold
+    no strong pointer back to it, so dropping the last reference frees
+    it at once (the fattree-k4 rack operation, with gc off)."""
+    import gc
+    import weakref
+
+    from repro.lang import write_config
+    from repro.net import network_from_texts
+
+    tree = build_fattree(4)
+    texts = {
+        f"{name}.cfg": write_config(tree.network.device(name))
+        for name in tree.network.router_names()
+    }
+    prefix = tree.tor_subnet(tree.tors[0])
+    batch = [
+        BatchQuery(P.Reachability(sources="all", dest_prefix_text=prefix)),
+        BatchQuery(P.NoForwardingLoops(dest_prefix_text=prefix)),
+    ]
+    gc.collect()
+    gc.disable()
+    try:
+        network = network_from_texts(texts)
+        alive = weakref.ref(network)
+        results = Verifier(network).verify_batch(batch)
+        assert [r.method for r in results] == ["simulation"] * 2
+        del network, results
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("k", [0, 2])

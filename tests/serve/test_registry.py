@@ -197,11 +197,22 @@ class TestRefresh:
 
     def test_refresh_rescopes_cache(self, registry, texts):
         snap = registry.ingest("t1", texts, name="prod")
-        registry.verify(snap, [reach()])
+        # k=1, so the network fixes no verdict and an encoding is built.
+        registry.verify(snap, [reach(max_failures=1)])
         old_scope = snap.scope
         new_texts = build_texts("10.8.0.1/24")
         snap, _ = registry.refresh(snap, new_texts)
         assert snap.scope != old_scope
+        # Back to revision A: its encoding was kept.  A query the
+        # verdict cache has not seen must be solved on it, not rebuilt.
+        snap, _ = registry.refresh(snap, texts)
+        assert snap.scope == old_scope
+        results, stats = registry.verify(
+            snap, [reach(sources=["R1"], max_failures=1)])
+        assert stats["verdicts_replayed"] == 0
+        assert stats["hits"] >= 1 and stats["misses"] == 0
+        assert results[0].holds is True
+        registry.delete(snap)
         assert not any(key.startswith(old_scope)
                        for key in registry.cache.keys())
 

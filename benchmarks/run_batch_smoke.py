@@ -14,7 +14,7 @@ clock) lives in ``benchmarks/test_bench_batch.py``.
 import sys
 import time
 
-from repro.core import verify_batch
+from repro.core import BatchEngine
 from repro.gen import build_fattree
 
 from benchmarks.test_bench_batch import (
@@ -36,11 +36,11 @@ def main() -> int:
     naive_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = verify_batch(network, queries)
+    batched = BatchEngine(network).run(queries)
     batch_s = time.perf_counter() - start
 
     _assert_identical(queries, naive, batched)
-    parallel = verify_batch(network, queries, workers=2)
+    parallel = BatchEngine(network, workers=2).run(queries)
     _assert_identical(queries, batched, parallel)
 
     _report("Batch smoke (fat-tree, 2 pods)", len(network.devices),

@@ -37,7 +37,7 @@ import sys
 import tempfile
 import time
 
-from repro.core import BatchQuery, properties as P, verify_batch
+from repro.core import BatchEngine, BatchQuery, properties as P
 from repro.diff import VerdictCache, diff_trees
 from repro.gen import build_cloud_network, build_fattree
 from repro.lang.writer import write_config
@@ -114,8 +114,8 @@ def run_scenario(network, edited_device, old_text, new_text, subnets, workers):
         )
 
         start = time.perf_counter()
-        new_fresh = verify_batch(
-            load_network(new_dir), queries, workers=workers
+        new_fresh = BatchEngine(load_network(new_dir), workers=workers).run(
+            queries
         )
         fresh_new_s = time.perf_counter() - start
 

@@ -38,7 +38,7 @@ import time
 
 from repro import obs
 from repro.cli import main as repro_main
-from repro.core import BatchQuery, properties as P, verify_batch
+from repro.core import BatchEngine, BatchQuery, properties as P
 from repro.gen import build_fattree
 from repro.obs.ledger import RunLedger, build_record
 from repro.obs.promexport import parse_exposition, write_prometheus
@@ -68,7 +68,7 @@ def _untraced_run(network, queries, workers):
     """One batch with spans off (results still carry span-derived
     timing through throwaway local tracers)."""
     start = time.perf_counter()
-    results = verify_batch(network, queries, workers=workers)
+    results = BatchEngine(network, workers=workers).run(queries)
     return time.perf_counter() - start, results
 
 
@@ -78,7 +78,7 @@ def _traced_run(network, queries, workers, ledger_path):
     tracer = obs.Tracer()
     start = time.perf_counter()
     with obs.use(tracer):
-        results = verify_batch(network, queries, workers=workers)
+        results = BatchEngine(network, workers=workers).run(queries)
     record = build_record("verify-batch", ["obs-smoke"],
                           network=network, results=results,
                           tracer=tracer)

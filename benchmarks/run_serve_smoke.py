@@ -5,7 +5,7 @@ whole verification-as-a-service lifecycle over HTTP:
 
 * **Cold vs fresh** — ingest a fat-tree snapshot, run per-rack
   reachability/loop queries, and compare every verdict against an
-  in-process ``verify_batch`` that never saw the daemon
+  in-process ``BatchEngine.run`` that never saw the daemon
   (``cold_verdict_match``, hard-gated at 1.0).
 * **Warm verdict replay** — repeat the identical batch: every verdict
   must replay from the snapshot's verdict cache, bit-identical
@@ -56,7 +56,7 @@ import urllib.error
 import urllib.request
 
 from repro import Verifier
-from repro.core import BatchQuery, properties as P, verify_batch
+from repro.core import BatchEngine, BatchQuery, properties as P
 from repro.gen import build_fattree
 from repro.lang.writer import write_config
 from repro.net import ip as iplib
@@ -225,7 +225,7 @@ def main() -> int:
                 {"queries": specs},
             )
             cold_seconds = time.perf_counter() - t0
-            fresh = verify_batch(network, queries)
+            fresh = BatchEngine(network).run(queries)
             metrics["cold_verdict_match"] = exact(
                 verdicts(cold["results"]) == [r.holds for r in fresh]
             )
@@ -283,7 +283,7 @@ def main() -> int:
                 r["encode_shared_seconds"] == 0.0 for r in enc["results"]
             )
             metrics["warm_encode_skipped"] = exact(skipped)
-            fresh_enc = verify_batch(network, enc_queries)
+            fresh_enc = BatchEngine(network).run(enc_queries)
             metrics["encoding_warm_verdict_match"] = exact(
                 verdicts(enc["results"]) == [r.holds for r in fresh_enc]
             )
@@ -373,7 +373,7 @@ def main() -> int:
             metrics["refresh_replay_exact"] = exact(
                 resolved == {f"reach-{edited}", f"loops-{edited}"}
             )
-            fresh_post = verify_batch(new_network, queries)
+            fresh_post = BatchEngine(new_network).run(queries)
             metrics["refresh_verdict_match"] = exact(
                 verdicts(post["results"]) == [r.holds for r in fresh_post]
             )

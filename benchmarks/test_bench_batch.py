@@ -17,7 +17,7 @@ import time
 
 
 from repro import Verifier
-from repro.core import BatchQuery, properties as P, verify_batch
+from repro.core import BatchEngine, BatchQuery, properties as P
 from repro.gen import build_cloud_network, build_fattree
 
 from .harness import print_table
@@ -89,7 +89,7 @@ def test_batch_speedup_fattree():
     naive_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = verify_batch(network, queries)
+    batched = BatchEngine(network).run(queries)
     batch_s = time.perf_counter() - start
 
     _assert_identical(queries, naive, batched)
@@ -115,14 +115,14 @@ def test_batch_matches_naive_cloud():
     naive_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    batched = verify_batch(network, queries)
+    batched = BatchEngine(network).run(queries)
     batch_s = time.perf_counter() - start
 
     _assert_identical(queries, naive, batched)
     # The seeded black hole must actually be found by both paths.
     assert any(r.holds is False for r in batched)
 
-    parallel = verify_batch(network, queries, workers=2)
+    parallel = BatchEngine(network, workers=2).run(queries)
     _assert_identical(queries, batched, parallel)
 
     _report(f"Batch engine vs naive loop ({cloud.name})",

@@ -41,7 +41,7 @@ from contextlib import contextmanager
 from typing import List, Optional
 
 from repro import obs
-from repro.core import BatchQuery, EncoderOptions, Verifier, properties as P
+from repro.core import BatchQuery, EncoderOptions, Verifier
 from repro.net import load_config_texts, load_network
 
 __all__ = ["main"]
@@ -75,55 +75,41 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="only report these rule ids")
     _add_ledger_flags(analyze)
 
-    verify = sub.add_parser("verify", help="verify a property")
+    # Shared by every command that runs the solver.
+    solver_flags = argparse.ArgumentParser(add_help=False)
+    solver_flags.add_argument("--no-preprocess", action="store_true",
+                              help="disable SAT-level CNF preprocessing")
+
+    verify = sub.add_parser("verify", parents=[solver_flags],
+                            help="verify a property")
     verify.add_argument("configs")
     verify.add_argument("property", choices=PROPERTY_CHOICES)
-    verify.add_argument("--sources", nargs="*", default=None,
-                        help="source routers (default: all)")
-    verify.add_argument("--dest-prefix", default=None,
-                        help="destination prefix A.B.C.D/len")
-    verify.add_argument("--dest-peer", default=None,
-                        help="destination external peer name")
-    verify.add_argument("--bound", type=int, default=4,
-                        help="hop bound for bounded-length")
-    verify.add_argument("--waypoints", nargs="*", default=[],
-                        help="waypoint chain for the waypoint property")
-    verify.add_argument("--max-leak-length", type=int, default=24)
-    verify.add_argument("--max-failures", type=int, default=0,
-                        help="verify under up to k link failures")
-    verify.add_argument("--announced-by", nargs="*", default=[],
-                        help="assume these peers announce the destination")
-    verify.add_argument("--no-preprocess", action="store_true",
-                        help="disable SAT-level CNF preprocessing")
+    _add_query_flags(verify)
     _add_observability_flags(verify)
 
     batch = sub.add_parser(
-        "verify-batch",
+        "verify-batch", parents=[solver_flags],
         help="verify many properties in one run (shared encodings, "
              "optional process-pool parallelism)")
     batch.add_argument("configs")
-    _add_query_flags(batch)
-    batch.add_argument("--no-preprocess", action="store_true",
-                       help="disable SAT-level CNF preprocessing")
+    _add_batch_flags(batch)
     _add_observability_flags(batch)
 
     diff = sub.add_parser(
-        "diff",
+        "diff", parents=[solver_flags],
         help="differential verification of two config trees: replay "
              "cached verdicts for queries whose dependency slice is "
              "untouched, re-verify the rest, report verdict flips "
              "(exit 0/1/2 = no new violations/new violations/error)")
     diff.add_argument("old", help="directory with the OLD config tree")
     diff.add_argument("new", help="directory with the NEW config tree")
-    _add_query_flags(diff)
+    _add_batch_flags(diff)
     diff.add_argument("--cache", default=None, metavar="FILE",
                       help="verdict-cache file to read and update "
                            "(omit for an in-memory cache: correct, but "
                            "nothing carries over between runs)")
     diff.add_argument("--json", action="store_true",
                       help="machine-readable report on stdout")
-    diff.add_argument("--no-preprocess", action="store_true",
-                      help="disable SAT-level CNF preprocessing")
     diff.add_argument("--cone-stats", action="store_true",
                       help="report each query's dependency-slice size "
                            "(devices / fragments) on the NEW tree")
@@ -194,7 +180,7 @@ def _build_parser() -> argparse.ArgumentParser:
     hcmp.add_argument("--json", action="store_true")
 
     serve = sub.add_parser(
-        "serve",
+        "serve", parents=[solver_flags],
         help="verification-as-a-service HTTP daemon: tenant snapshot "
              "store plus a cross-request encoding cache (warm queries "
              "skip parse/build/encode); see docs/SERVING.md")
@@ -219,8 +205,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "confined to paths under ROOT (disabled by "
                             "default: it lets clients read files the "
                             "daemon can see)")
-    serve.add_argument("--no-preprocess", action="store_true",
-                       help="disable SAT-level CNF preprocessing")
     serve.add_argument("--log-json", default=None, metavar="FILE",
                        help="structured JSON logs ('-' for stderr)")
     _add_ledger_flags(serve)
@@ -228,6 +212,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _add_query_flags(parser: argparse.ArgumentParser) -> None:
+    """The property flags: verify's one query, or the settings every
+    ``--property`` query of verify-batch and diff shares."""
+    parser.add_argument("--sources", nargs="*", default=None,
+                        help="source routers (default: all)")
+    parser.add_argument("--dest-prefix", default=None,
+                        help="destination prefix A.B.C.D/len")
+    parser.add_argument("--dest-peer", default=None,
+                        help="destination external peer name")
+    parser.add_argument("--bound", type=int, default=4,
+                        help="hop bound for bounded-length")
+    parser.add_argument("--waypoints", nargs="*", default=[],
+                        help="waypoint chain for the waypoint property")
+    parser.add_argument("--max-leak-length", type=int, default=24)
+    parser.add_argument("--max-failures", type=int, default=None,
+                        help="verify under up to k link failures")
+    parser.add_argument("--announced-by", nargs="*", default=[],
+                        help="assume these peers announce the destination")
+
+
+def _add_batch_flags(parser: argparse.ArgumentParser) -> None:
     """Query-list flags shared by verify-batch and diff."""
     parser.add_argument("--spec", default=None,
                         help="JSON query-spec file: a list of objects, each "
@@ -238,18 +242,19 @@ def _add_query_flags(parser: argparse.ArgumentParser) -> None:
                         choices=PROPERTY_CHOICES, default=[],
                         help="property to check (repeatable; each repeat "
                              "makes one query from the shared flags below)")
-    parser.add_argument("--sources", nargs="*", default=None)
-    parser.add_argument("--dest-prefix", default=None)
-    parser.add_argument("--dest-peer", default=None)
-    parser.add_argument("--bound", type=int, default=4)
-    parser.add_argument("--waypoints", nargs="*", default=[])
-    parser.add_argument("--max-leak-length", type=int, default=24)
-    parser.add_argument("--max-failures", type=int, default=None)
-    parser.add_argument("--announced-by", nargs="*", default=[])
-    parser.add_argument("--workers", type=int, default=1,
+    _add_query_flags(parser)
+    parser.add_argument("--workers", type=_worker_count, default=1,
                         help="process-pool workers; the destination "
                              "prefixes are dealt into one group per "
                              "worker (1 = serial, one encoding)")
+
+
+def _worker_count(text: str) -> int:
+    """A ``--workers`` value: an integer of at least 1."""
+    workers = int(text)
+    if workers < 1:
+        raise argparse.ArgumentTypeError("must be >= 1")
+    return workers
 
 
 def _add_ledger_flags(parser: argparse.ArgumentParser) -> None:
@@ -386,19 +391,36 @@ def _stats_line(result) -> str:
             f"solve={result.solve_seconds * 1e3:.1f}ms")
 
 
-def _property_from_spec(kind: str, spec: dict) -> P.Property:
-    """Build a property from a flat spec dict (CLI flags or JSON entry).
+def _flag_spec(args, kind: str) -> dict:
+    """The query spec the property flags describe for property ``kind``:
+    the shape of a ``--spec`` entry or a serve request body."""
+    return {
+        "property": kind,
+        "sources": args.sources,
+        "dest_prefix": args.dest_prefix,
+        "dest_peer": args.dest_peer,
+        "bound": args.bound,
+        "waypoints": args.waypoints,
+        "max_leak_length": args.max_leak_length,
+        "max_failures": args.max_failures,
+        "announced_by": args.announced_by,
+    }
 
-    The one definition lives in :mod:`repro.serve.schemas` (the serve
-    API accepts the same spec shape); here its 400s become the CLI's
-    ``SystemExit`` messages.
-    """
-    from repro.serve.schemas import ApiError, property_from_spec
+
+def _queries(specs: List[dict], network=None) -> List[BatchQuery]:
+    """The queries of ``specs``, checked and built by the serve API's
+    own :mod:`repro.serve.schemas` (with ``network``, their router
+    names are checked against it too); its 400s become the CLI's
+    ``SystemExit`` messages."""
+    from repro.serve.schemas import ApiError, check_routers, query_from_spec
 
     try:
-        return property_from_spec(kind, spec)
+        queries = [query_from_spec(spec, i) for i, spec in enumerate(specs)]
+        if network is not None:
+            check_routers(queries, network)
     except ApiError as exc:
         raise SystemExit(exc.message) from exc
+    return queries
 
 
 def _load_network(configs: str):
@@ -408,17 +430,6 @@ def _load_network(configs: str):
         return load_network(configs)
     except FileNotFoundError as exc:
         raise SystemExit(str(exc)) from exc
-
-
-def _make_property(args) -> P.Property:
-    return _property_from_spec(args.property, {
-        "sources": args.sources,
-        "dest_prefix": args.dest_prefix,
-        "dest_peer": args.dest_peer,
-        "bound": args.bound,
-        "waypoints": args.waypoints,
-        "max_leak_length": args.max_leak_length,
-    })
 
 
 def _cmd_show(args) -> int:
@@ -477,10 +488,9 @@ def _cmd_verify(args) -> int:
         network = _load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
             preprocess=not args.no_preprocess))
-        prop = _make_property(args)
-        assumptions = [P.announces(peer) for peer in args.announced_by]
-        result = verifier.verify(prop, max_failures=args.max_failures,
-                                 assumptions=assumptions)
+        [query] = _queries([_flag_spec(args, args.property)], network)
+        result = verifier.verify(query.prop, max_failures=query.max_failures,
+                                 assumptions=query.assumptions)
         ctx.network, ctx.options = network, verifier.options
         ctx.results = [result]
     print(result)
@@ -491,53 +501,32 @@ def _cmd_verify(args) -> int:
     return 0 if result.holds else 1
 
 
-def _batch_queries(args) -> List[BatchQuery]:
-    queries: List[BatchQuery] = []
+def _batch_specs(args) -> List[dict]:
+    """The ``--spec`` file's entries, then one spec per ``--property``."""
+    specs: List[dict] = []
     if args.spec:
         try:
             with open(args.spec) as handle:
-                entries = json.load(handle)
+                specs = json.load(handle)
         except OSError as exc:
             raise SystemExit(f"cannot read --spec file: {exc}")
         except json.JSONDecodeError as exc:
             raise SystemExit(f"--spec is not valid JSON: {exc}")
-        if not isinstance(entries, list):
+        if not isinstance(specs, list):
             raise SystemExit("--spec must contain a JSON list of queries")
-        from repro.serve.schemas import ApiError, query_from_spec
-
-        try:
-            queries.extend(query_from_spec(entry, i)
-                           for i, entry in enumerate(entries))
-        except ApiError as exc:
-            raise SystemExit(exc.message) from exc
-    shared = {
-        "sources": args.sources,
-        "dest_prefix": args.dest_prefix,
-        "dest_peer": args.dest_peer,
-        "bound": args.bound,
-        "waypoints": args.waypoints,
-        "max_leak_length": args.max_leak_length,
-    }
-    assumptions = tuple(P.announces(peer) for peer in args.announced_by)
-    for kind in args.properties:
-        queries.append(BatchQuery(
-            prop=_property_from_spec(kind, shared),
-            max_failures=args.max_failures,
-            assumptions=assumptions))
-    if not queries:
+    specs += [_flag_spec(args, kind) for kind in args.properties]
+    if not specs:
         raise SystemExit(
             f"{args.command} needs --spec and/or at least one --property")
-    return queries
+    return specs
 
 
 def _cmd_verify_batch(args) -> int:
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     with _observed(args, command="verify-batch") as ctx:
         network = _load_network(args.configs)
         verifier = Verifier(network, options=EncoderOptions(
             preprocess=not args.no_preprocess))
-        queries = _batch_queries(args)
+        queries = _queries(_batch_specs(args), network)
         results = verifier.verify_batch(queries, workers=args.workers)
         ctx.network, ctx.options = network, verifier.options
         ctx.results = results
@@ -568,12 +557,10 @@ def _cmd_diff(args) -> int:
         to_json,
     )
 
-    if args.workers < 1:
-        raise SystemExit("--workers must be >= 1")
     cache = VerdictCache.load(args.cache) if args.cache else VerdictCache()
     try:
         with _observed(args, command="diff") as ctx:
-            queries = _batch_queries(args)
+            queries = _queries(_batch_specs(args))
             options = EncoderOptions(preprocess=not args.no_preprocess)
             report = diff_trees(args.old, args.new, queries,
                                 options=options, workers=args.workers,

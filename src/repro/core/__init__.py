@@ -2,14 +2,14 @@
 
 from .counterexample import Counterexample, EnvAnnouncement
 from .encoder import EncodedNetwork, EncoderOptions, NetworkEncoder
-from .engine import BatchEngine, BatchQuery, verify_batch
+from .engine import BatchEngine, BatchQuery
 from .verifier import VerificationResult, Verifier
 from . import properties
 
 __all__ = [
     "EncoderOptions", "NetworkEncoder", "EncodedNetwork",
     "Verifier", "VerificationResult",
-    "BatchEngine", "BatchQuery", "verify_batch",
+    "BatchEngine", "BatchQuery",
     "Counterexample", "EnvAnnouncement",
     "properties",
 ]

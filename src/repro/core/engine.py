@@ -42,9 +42,11 @@ This engine exploits two levers:
   to query order regardless of completion order, and any pool failure
   (spawn errors, pickling issues) falls back to the serial path.
 
+:meth:`BatchEngine.run` is the one query pipeline: ``Verifier.verify``,
+``Verifier.verify_batch``, differential verification and the serve
+registry all run their queries through it, and inside it
 :meth:`GroupEncoding.solve_one` is the only code that runs a query
-against a single-network encoding: ``Verifier.verify`` is a batch of one
-(a fresh group, one ``solve_one``).  Lazy properties (``prop.lazy``, e.g.
+against a single-network encoding.  Lazy properties (``prop.lazy``, e.g.
 :class:`LoadBalanced`) are ordinary group members: ``solve_one`` checks
 each stable state the solver finds concretely and blocks its forwarding
 behind the query's activation literal, so the blocking clauses retire
@@ -62,6 +64,7 @@ worker.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -77,13 +80,13 @@ from .policy_smt import fbm_const
 from .properties import Property
 from .verifier import (
     VerificationResult,
+    _query_tracer,
     _result,
     _span_stats,
     effective_max_failures,
 )
 
-__all__ = ["BatchQuery", "BatchEngine", "GroupEncoding", "decide",
-           "verify_batch"]
+__all__ = ["BatchQuery", "BatchEngine", "GroupEncoding"]
 
 
 @dataclass(frozen=True)
@@ -358,7 +361,7 @@ class BatchEngine:
                                                query.max_failures,
                                                self.options)
                     query = replace(query, max_failures=k)
-                    results[index] = decide(self.network, query, k, tracer)
+                    results[index] = _decide(self.network, query, k)
                     if results[index] is None:
                         pending.append((index, query))
                 groups = self._groups(pending)
@@ -448,16 +451,20 @@ class BatchEngine:
 
         return f"{self.encoding_scope}enc/{options_digest(self.options)}"
 
-    def _cached_group(self, options: EncoderOptions,
-                      ckey: str) -> Tuple[GroupEncoding, bool]:
+    def _cached_group(self, options: EncoderOptions
+                      ) -> Tuple[Optional[GroupEncoding], bool]:
         """Fetch (or build and insert) the network's encoding via the
-        encoding cache.  Returns ``(group, reused)``: a reused group
-        already paid its encode cost in some earlier run, so stats for
-        this run's queries attribute zero shared encoding time.
+        encoding cache; ``(None, False)`` without one.  Returns
+        ``(group, reused)``: a reused group already paid its encode
+        cost in some earlier run, so stats for this run's queries
+        attribute zero shared encoding time.
 
         A cached encoding at a bound below ``options.max_failures``
         cannot answer the group; it is rebuilt at the larger bound and
         replaced."""
+        if self.encoding_cache is None:
+            return None, False
+        ckey = self.encoding_cache_key()
         old = self.encoding_cache.get(ckey)
         metrics = obs.metrics()
         if old is not None:
@@ -468,28 +475,28 @@ class BatchEngine:
             metrics.counter("engine.encoding_bound_raised").inc()
         self.last_encoding_stats["misses"] += 1
         metrics.counter("engine.encoding_cache_miss").inc()
-        group = GroupEncoding(self.network, options, self.conflict_budget)
+        group = GroupEncoding(self.network, options, self.conflict_budget,
+                              tracer=_query_tracer())
         self.encoding_cache.put(ckey, group, group.cache_size())
         return group, False
 
     def _run_group(self, members: _Members
                    ) -> List[Tuple[int, VerificationResult]]:
+        """Discharge one group in this process: on the network's cached
+        encoding when the engine has an encoding cache, else on a fresh
+        one."""
         options = self._group_options(members)
-        if self.encoding_cache is None:
-            pairs, _ = _solve_group(self.network, options,
-                                    self.conflict_budget,
-                                    _shared_prefix(members), members)
-            return pairs
-        ckey = self.encoding_cache_key()
-        group, reused = self._cached_group(options, ckey)
-        pairs, _ = _solve_group(self.network, group.options,
-                                self.conflict_budget, None, members,
-                                group=group, group_reused=reused)
-        # This run's queries grew the encoding (learnt clauses, Tseitin
-        # gates, retire units).  ``resize`` re-measures it only while
-        # ``ckey`` still holds it, so an encoding that was replaced or
-        # evicted meanwhile is not put back.
-        self.encoding_cache.resize(ckey, group, group.cache_size())
+        group, reused = self._cached_group(options)
+        pairs, _ = _solve_group(self.network, options, self.conflict_budget,
+                                _shared_prefix(members), members,
+                                group=group, reused=reused)
+        if group is not None:
+            # This run's queries grew the encoding (learnt clauses,
+            # Tseitin gates, retire units).  ``resize`` re-measures it
+            # only while the key still holds it, so an encoding that was
+            # replaced or evicted meanwhile is not put back.
+            self.encoding_cache.resize(self.encoding_cache_key(), group,
+                                       group.cache_size())
         return pairs
 
     def _run_parallel(self, groups, results) -> bool:
@@ -534,8 +541,8 @@ class BatchEngine:
         return True
 
 
-def decide(network: Network, query: BatchQuery, k: int,
-           tracer=None) -> Optional[VerificationResult]:
+def _decide(network: Network, query: BatchQuery,
+            k: int) -> Optional[VerificationResult]:
     """The query's result when the network fixes its verdict without an
     encoding (:func:`repro.analysis.stable.fixed_verdict`), else None.
 
@@ -546,10 +553,8 @@ def decide(network: Network, query: BatchQuery, k: int,
     """
     from repro.analysis.stable import fixed_verdict
 
-    tracer = tracer if tracer is not None else obs.active()
-    if not tracer.enabled:
-        tracer = obs.Tracer(lane="decide")
-    with tracer.span("sim.decide", query=query.name()) as sp:
+    with _query_tracer("decide").span("sim.decide",
+                                      query=query.name()) as sp:
         decision = fixed_verdict(network, query.prop, k, query.assumptions)
         sp.set(decided=decision is not None)
     if decision is None:
@@ -590,14 +595,16 @@ def _solve_group(network: Network, options: EncoderOptions,
                  conflict_budget: Optional[int],
                  dst_prefix: Optional[Tuple[int, int]],
                  members: _Members,
+                 group: Optional[GroupEncoding] = None,
+                 reused: bool = False,
                  collect_trace: bool = False,
                  run_id: Optional[str] = None,
-                 group: Optional[GroupEncoding] = None,
-                 group_reused: bool = False,
                  ) -> Tuple[List[Tuple[int, VerificationResult]],
                             Optional[Dict]]:
-    """Encode the network once (restricted to ``dst_prefix``, if any)
-    and discharge every query of the group.
+    """Discharge every query of a group against one encoding: ``group``
+    when given (a cached encoding; ``reused`` when it paid its encode
+    cost in an earlier run), else a fresh one at ``options``, restricted
+    to ``dst_prefix`` (the prefix every member is about, if any).
 
     Module-level so it can be pickled to process-pool workers (the
     pool path never ships ``group`` — a live solver cannot cross a
@@ -609,62 +616,26 @@ def _solve_group(network: Network, options: EncoderOptions,
     """
     if run_id is not None:
         obslog.set_run_id(run_id)
+    if group is not None:
+        options = group.options
     lane = _group_lane(members, options.max_failures)
-    if collect_trace:
-        tracer = obs.Tracer(lane=lane)
-        with obs.use(tracer):
-            pairs = _solve_group_traced(tracer, lane, network, options,
-                                        conflict_budget, dst_prefix,
-                                        members)
-        return pairs, tracer.export()
-    tracer = obs.active()
-    if not tracer.enabled:
-        # Stats-only throwaway tracer: per-result timing fields always
-        # come from spans, traced or not.
-        tracer = obs.Tracer(lane=lane)
-    return (_solve_group_traced(tracer, lane, network, options,
-                                conflict_budget, dst_prefix, members,
-                                group=group, group_reused=group_reused),
-            None)
-
-
-def _solve_group_traced(tracer, lane: str, network: Network,
-                        options: EncoderOptions,
-                        conflict_budget: Optional[int],
-                        dst_prefix: Optional[Tuple[int, int]],
-                        members: _Members,
-                        group: Optional[GroupEncoding] = None,
-                        group_reused: bool = False,
-                        ) -> List[Tuple[int, VerificationResult]]:
-    group_span = tracer.span("batch.group", queries=len(members),
-                             max_failures=options.max_failures,
-                             reused=group_reused, dst_prefix=lane)
-    out: List[Tuple[int, VerificationResult]] = []
-    with group_span:
-        if group is None:
-            group = GroupEncoding(network, options, conflict_budget,
-                                  dst_prefix, tracer=tracer)
-        # The one-time shared encoding is amortized evenly; each result
-        # carries its share in ``encode_shared_seconds`` so batch totals
-        # sum to real wall time without double-counting.  A reused
-        # (cache-hit) encoding paid nothing this run: its queries carry
-        # a zero share, which is exactly the parse/build/encode work
-        # the warm path skipped.
-        shared_share = (0.0 if group_reused
-                        else group.encode_seconds / len(members))
-        for index, query in members:
-            out.append((index, group.solve_one(query, tracer=tracer,
-                                               shared_share=shared_share)))
-    return out
-
-
-def verify_batch(network: Network, queries: Sequence,
-                 options: Optional[EncoderOptions] = None,
-                 conflict_budget: Optional[int] = None,
-                 workers: int = 1,
-                 verdict_cache=None) -> List[VerificationResult]:
-    """Functional convenience wrapper over :class:`BatchEngine`."""
-    engine = BatchEngine(network, options=options,
-                         conflict_budget=conflict_budget, workers=workers,
-                         verdict_cache=verdict_cache)
-    return engine.run(queries)
+    collector = obs.Tracer(lane=lane) if collect_trace else None
+    with obs.use(collector) if collector is not None else nullcontext():
+        tracer = _query_tracer(lane)
+        with tracer.span("batch.group", queries=len(members),
+                         max_failures=options.max_failures,
+                         reused=reused, dst_prefix=lane):
+            if group is None:
+                group = GroupEncoding(network, options, conflict_budget,
+                                      dst_prefix, tracer=tracer)
+            # The one-time shared encoding is amortized evenly; each
+            # result carries its share in ``encode_shared_seconds`` so
+            # batch totals sum to real wall time without
+            # double-counting.  A reused (cache-hit) encoding paid
+            # nothing this run: its queries carry a zero share, which is
+            # exactly the parse/build/encode work the warm path skipped.
+            share = 0.0 if reused else group.encode_seconds / len(members)
+            pairs = [(index, group.solve_one(query, tracer=tracer,
+                                             shared_share=share))
+                     for index, query in members]
+    return pairs, (collector.export() if collector is not None else None)

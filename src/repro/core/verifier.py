@@ -4,14 +4,12 @@
 property into CNF and asks the CDCL core for a satisfying assignment:
 SAT means some stable state violates the property (a counterexample is
 extracted from the model), UNSAT means the property holds in every stable
-state.  A single query is a batch of one: it builds a fresh
-:class:`~repro.core.engine.GroupEncoding` and runs
-:meth:`~repro.core.engine.GroupEncoding.solve_one`, the same code every
-batch query (lazy load-balancing refinement included) goes through.
-Before that, like every batch query, it asks
-:func:`~repro.core.engine.decide` whether the network already fixes its
-verdict; such a query is answered from the simulated stable state with
-``method="simulation"`` and never encoded.
+state.  A single query is a batch of one: it runs
+:meth:`~repro.core.engine.BatchEngine.run` on one query, the same
+pipeline every batch query goes through (the simulation check that
+answers a query the network already decides, the group encoding and
+:meth:`~repro.core.engine.GroupEncoding.solve_one`, lazy load-balancing
+refinement included).
 
 Also implements the one-shot §5 checks — fault invariance (plain and
 pairwise), full equivalence and local equivalence.  Each encodes two
@@ -67,15 +65,16 @@ def effective_max_failures(prop: Property,
     return max(options.max_failures, prop.failures_needed)
 
 
-def _query_tracer():
-    """The globally installed tracer, or a throwaway local one.
+def _query_tracer(lane: str = "verify"):
+    """The globally installed tracer, or a throwaway local one on
+    ``lane``.
 
     Every query is timed through span objects either way, so result
     statistics are always a view over the same telemetry that feeds
     trace files; the throwaway tracer just never gets exported.
     """
     tracer = obs.active()
-    return tracer if tracer.enabled else obs.Tracer(lane="verify")
+    return tracer if tracer.enabled else obs.Tracer(lane=lane)
 
 
 def _span_stats(seconds: float, shared_seconds: float, sp_query, solves,
@@ -235,9 +234,6 @@ class Verifier:
         self.options = options or EncoderOptions()
         self.conflict_budget = conflict_budget
         self.preflight_report = None
-        #: Encoding-cache hits/misses of the most recent
-        #: :meth:`verify_batch` call (mirrors the engine's counters).
-        self.last_encoding_stats = {"hits": 0, "misses": 0}
         if preflight or strict:
             self.preflight_report = self._preflight(strict)
 
@@ -287,37 +283,23 @@ class Verifier:
         bound); ``prop.failures_needed`` still raises the bound when the
         property structurally requires more failures than requested.
         """
-        from .engine import BatchQuery, GroupEncoding, decide
+        from .engine import BatchEngine, BatchQuery
 
         tracer = _query_tracer()
-        name = type(prop).__name__
-        options = self.options
-        k = effective_max_failures(prop, max_failures, options)
-        if k != options.max_failures:
-            options = replace(options, max_failures=k)
-        query = BatchQuery(prop=prop, max_failures=max_failures,
-                           assumptions=tuple(assumptions))
-        root = tracer.span("verify", property=name, max_failures=k)
+        k = effective_max_failures(prop, max_failures, self.options)
+        root = tracer.span("verify", property=type(prop).__name__,
+                           max_failures=k)
         with root:
-            result = decide(self.network, query, k, tracer)
-            if result is None:
-                group = GroupEncoding(self.network, options,
-                                      self.conflict_budget,
-                                      prop.dst_prefix(), tracer=tracer)
-                result = group.solve_one(query, tracer=tracer,
-                                         shared_share=group.encode_seconds)
+            [result] = BatchEngine(
+                self.network, options=self.options,
+                conflict_budget=self.conflict_budget,
+            ).run([BatchQuery(prop=prop, max_failures=max_failures,
+                              assumptions=tuple(assumptions))])
         result.seconds = root.duration
         return result
 
-    # ------------------------------------------------------------------
-    # Batch verification (shared-encoding incremental + parallel groups)
-    # ------------------------------------------------------------------
-
     def verify_batch(self, queries: Sequence,
-                     workers: int = 1,
-                     verdict_cache=None,
-                     encoding_cache=None,
-                     encoding_scope: str = "") -> List[VerificationResult]:
+                     workers: int = 1) -> List[VerificationResult]:
         """Verify many queries, exploiting cross-query sharing.
 
         ``queries`` is a sequence of :class:`Property` instances or
@@ -327,35 +309,19 @@ class Verifier:
         the queries, and every property is discharged via
         assumption-based incremental checks: a smaller bound k is one
         more assumption, "at most k links fail", and so is the query's
-        destination prefix.  With ``workers > 1`` (and no
-        ``encoding_cache``) the distinct prefixes are dealt into at
-        most ``workers`` groups, one encoding each, run in a process pool;
-        results always come back in query order, identical to
-        per-query :meth:`verify` answers.
+        destination prefix.  With ``workers > 1`` the distinct prefixes
+        are dealt into at most ``workers`` groups, one encoding each,
+        run in a process pool; results always come back in query order,
+        identical to per-query :meth:`verify` answers.
 
-        ``verdict_cache`` (e.g. :class:`repro.diff.VerdictCache`)
-        enables slice-aware planning: queries whose dependency-slice
-        hash matches a cached entry replay the stored verdict
-        (``result.cached`` is True) instead of being solved.
-
-        ``encoding_cache`` (e.g. :class:`repro.serve.TTLLRUCache`)
-        makes the network's one encoding — encoded network plus loaded
-        incremental solver, restricted to no prefix — outlive this
-        call: a later batch on the same network skips encode entirely.
-        ``encoding_scope`` prefixes the cache keys (see
-        :meth:`BatchEngine.encoding_cache_key`).
+        Verdict and encoding caches are :class:`BatchEngine` arguments
+        (the serve registry and differential verification pass them).
         """
         from .engine import BatchEngine
 
-        engine = BatchEngine(self.network, options=self.options,
-                             conflict_budget=self.conflict_budget,
-                             workers=workers,
-                             verdict_cache=verdict_cache,
-                             encoding_cache=encoding_cache,
-                             encoding_scope=encoding_scope)
-        results = engine.run(queries)
-        self.last_encoding_stats = dict(engine.last_encoding_stats)
-        return results
+        return BatchEngine(self.network, options=self.options,
+                           conflict_budget=self.conflict_budget,
+                           workers=workers).run(queries)
 
     # ------------------------------------------------------------------
     # Fault-invariance (§5): P holds with no failures iff it holds with k

@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.core import Verifier
+from repro.core import BatchEngine
 from repro.core.encoder import EncoderOptions
 from repro.diff import VerdictCache
 from repro.diff.differ import changed_devices
@@ -45,7 +45,7 @@ from repro.net.topology import Network
 from repro.obs.ledger import network_hash
 from repro.obs.log import event as log_event
 from repro.serve.cache import TTLLRUCache
-from repro.serve.schemas import ApiError, validate_label
+from repro.serve.schemas import ApiError, check_routers, validate_label
 
 __all__ = ["Snapshot", "SnapshotRegistry"]
 
@@ -431,7 +431,10 @@ class SnapshotRegistry:
         return self._network_at(scope, texts)
 
     def verify(self, snap: Snapshot, queries) -> Tuple[List, Dict]:
-        """Run a batch against a snapshot through every cache layer.
+        """Run a batch against a snapshot through every cache layer:
+        :meth:`BatchEngine.run` with the snapshot's verdict cache and
+        the shared encoding cache.  A query naming a router the
+        snapshot lacks is a 400 (:func:`check_routers`).
 
         Returns ``(results, stats)`` where stats reports the request's
         own verdict replays and encoding-cache hits/misses (from
@@ -446,16 +449,16 @@ class SnapshotRegistry:
             scope, texts = snap.scope, snap.texts
             verdict_cache = self._verdicts.get((snap.tenant, snap.name))
         network = self._network_at(scope, texts)
-        # Preflight ran semantically at ingest via parse validation;
-        # per-request lint would re-analyze an unchanged network.
-        verifier = Verifier(network, options=self.options, preflight=False)
-        results = verifier.verify_batch(
-            queries,
+        check_routers(queries, network)
+        engine = BatchEngine(
+            network,
+            options=self.options,
             verdict_cache=verdict_cache,
             encoding_cache=self.cache,
             encoding_scope=scope,
         )
-        stats = dict(verifier.last_encoding_stats)
+        results = engine.run(queries)
+        stats = dict(engine.last_encoding_stats)
         replayed = sum(1 for r in results if r.cached)
         stats["verdicts_replayed"] = replayed
         with self._lock:

@@ -8,7 +8,9 @@ one definition of a *query spec* — the flat JSON object (``{"property":
 
 Validation failures raise :class:`ApiError` carrying the HTTP status
 the server should answer with; the CLI maps the same errors onto
-``SystemExit`` messages.
+``SystemExit`` messages.  A spec is checked before any query runs: field
+types and prefix syntax by :func:`query_from_spec`, router names
+against the network by :func:`check_routers`.
 """
 
 from __future__ import annotations
@@ -18,11 +20,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core import BatchQuery, properties as P
-from repro.net import load_config_texts
+from repro.net import ip as iplib, load_config_texts
 
 __all__ = [
     "ApiError",
     "PROPERTY_CHOICES",
+    "check_routers",
     "parse_queries",
     "parse_snapshot_body",
     "property_from_spec",
@@ -119,6 +122,44 @@ def property_from_spec(kind: Optional[str], spec: Dict[str, Any]):
     )
 
 
+#: Spec fields that hold a list of names, and those that hold a
+#: non-negative integer; any of them may be absent or null.
+_NAME_LISTS = ("sources", "waypoints", "allowed", "announced_by")
+_COUNTS = ("bound", "max_leak_length", "max_failures")
+
+
+def _check_spec_types(spec: Dict[str, Any]) -> None:
+    """Raise ValueError naming the first field of the wrong type (a
+    string where a list belongs would otherwise be read as a list of
+    one-letter names), or a ``dest_prefix`` that is no prefix."""
+    for key in _NAME_LISTS:
+        value = spec.get(key)
+        if value is not None and not (
+            isinstance(value, list)
+            and all(isinstance(name, str) for name in value)
+        ):
+            raise ValueError(f"{key} must be a list of names")
+    for key in _COUNTS:
+        value = spec.get(key)
+        # bool is an int subclass: true must not read as 1.
+        if value is not None and (
+            isinstance(value, bool) or not isinstance(value, int) or value < 0
+        ):
+            raise ValueError(f"{key} must be a non-negative integer")
+    for key in ("dest_prefix", "dest_peer", "label"):
+        value = spec.get(key)
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{key} must be a string")
+    prefix = spec.get("dest_prefix")
+    if prefix is not None:
+        try:
+            iplib.parse_prefix(prefix)
+        except ValueError:
+            raise ValueError(
+                f"dest_prefix {prefix!r} is not a prefix A.B.C.D/len"
+            ) from None
+
+
 def query_from_spec(spec: Any, index: int = 0) -> BatchQuery:
     """One :class:`BatchQuery` from one spec entry."""
     if not isinstance(spec, dict):
@@ -127,26 +168,45 @@ def query_from_spec(spec: Any, index: int = 0) -> BatchQuery:
             f"query {index}: expected an object, "
             f"got {type(spec).__name__}",
         )
-    announced = spec.get("announced_by", [])
-    if not isinstance(announced, list):
-        raise ApiError(400, f"query {index}: announced_by must be a list")
     try:
+        _check_spec_types(spec)
         prop = property_from_spec(spec.get("property"), spec)
-        max_failures = spec.get("max_failures")
-        if max_failures is not None and (
-            not isinstance(max_failures, int) or max_failures < 0
-        ):
-            raise ValueError("max_failures must be a non-negative integer")
         return BatchQuery(
             prop=prop,
-            max_failures=max_failures,
-            assumptions=tuple(P.announces(peer) for peer in announced),
+            max_failures=spec.get("max_failures"),
+            assumptions=tuple(
+                P.announces(peer) for peer in spec.get("announced_by") or ()
+            ),
             label=spec.get("label"),
         )
     except ApiError as exc:
         raise ApiError(exc.status, f"query {index}: {exc.message}") from exc
     except (TypeError, ValueError) as exc:
         raise ApiError(400, f"query {index}: {exc}") from exc
+
+
+def check_routers(queries: List[BatchQuery], network) -> None:
+    """Reject a query whose ``sources`` or ``waypoints`` name a router
+    the network does not have (the encoder would fail on it with a
+    ``KeyError``)."""
+    routers = set(network.router_names())
+    for index, query in enumerate(queries):
+        prop = query.prop
+        sources = getattr(prop, "sources", ())
+        if hasattr(prop, "source"):
+            sources = [prop.source]
+        fields = (
+            ("sources", () if sources == "all" else sources),
+            ("waypoints", getattr(prop, "waypoints", ())),
+        )
+        for field, names in fields:
+            unknown = sorted(set(names) - routers)
+            if unknown:
+                raise ApiError(
+                    400,
+                    f"query {index}: {field} names no router of the "
+                    f"snapshot: {', '.join(unknown)}",
+                )
 
 
 def parse_queries(doc: Any, batch: bool) -> List[BatchQuery]:

@@ -127,15 +127,17 @@ class DataPlane:
         edge = self.network.edge_between(device, target)
         return (edge is not None
                 and not self.state.environment.link_failed(device, target)
-                and self._acl_out_permits(device, edge.source_iface, packet)
-                and self._acl_in_permits(target, edge.target_iface, packet))
+                and self._acl_permits(device, edge.source_iface, "acl_out",
+                                      packet)
+                and self._acl_permits(target, edge.target_iface, "acl_in",
+                                      packet))
 
     def _exits(self, device: str, peer_name: str, packet: Packet) -> bool:
         """Does the egress ACL toward ``device``'s external peer
         ``peer_name`` let ``packet`` out?"""
         peer = self.network.external(device, peer_name)
-        return peer is None or self._acl_out_permits(
-            device, peer.router_iface, packet)
+        return peer is None or self._acl_permits(
+            device, peer.router_iface, "acl_out", packet)
 
     def _subnet_target(self, device: str, dst_ip: int) -> Optional[str]:
         """Where a connected route at ``device`` hands ``dst_ip``: the
@@ -199,10 +201,12 @@ class DataPlane:
         if edge is None or self.state.environment.link_failed(device, target):
             out.append(Trace(path, NO_ROUTE))
             return
-        if not self._acl_out_permits(device, edge.source_iface, packet):
+        if not self._acl_permits(device, edge.source_iface, "acl_out",
+                                 packet):
             out.append(Trace(path, DROPPED_ACL))
             return
-        if not self._acl_in_permits(target, edge.target_iface, packet):
+        if not self._acl_permits(target, edge.target_iface, "acl_in",
+                                 packet):
             out.append(Trace(path + (target,), DROPPED_ACL))
             return
         self._walk(target, packet, path + (target,), out, depth - 1)
@@ -243,23 +247,16 @@ class DataPlane:
                 return resolved
         return ("unresolved", None)
 
-    def _acl_out_permits(self, device: str, iface_name: str,
-                         packet: Packet) -> bool:
+    def _acl_permits(self, device: str, iface_name: str, direction: str,
+                     packet: Packet) -> bool:
+        """Does the interface's ACL in ``direction`` (``"acl_in"`` or
+        ``"acl_out"``) permit the packet?  No ACL permits; a reference
+        to a missing ACL denies."""
         iface = self.network.device(device).interfaces.get(iface_name)
-        if iface is None or iface.acl_out is None:
+        acl_name = getattr(iface, direction, None)
+        if acl_name is None:
             return True
-        acl = self.network.device(device).acls.get(iface.acl_out)
-        if acl is None:
-            return False
-        return acl.permits(packet.dst_ip, packet.src_ip, packet.protocol,
-                           packet.dst_port)
-
-    def _acl_in_permits(self, device: str, iface_name: str,
-                        packet: Packet) -> bool:
-        iface = self.network.device(device).interfaces.get(iface_name)
-        if iface is None or iface.acl_in is None:
-            return True
-        acl = self.network.device(device).acls.get(iface.acl_in)
+        acl = self.network.device(device).acls.get(acl_name)
         if acl is None:
             return False
         return acl.permits(packet.dst_ip, packet.src_ip, packet.protocol,

@@ -55,15 +55,21 @@ class SimulationResult:
 
     def fib_lookup(self, device: str, dst_ip: int) -> List[Route]:
         """Longest-prefix-match FIB lookup."""
-        table = self.fibs.get(device, {})
-        best_len = -1
-        best: List[Route] = []
-        for (network, length), routes in table.items():
-            if length > best_len and iplib.prefix_contains(network, length,
-                                                           dst_ip):
-                best_len = length
-                best = routes
-        return best
+        return _longest_match(self.fibs.get(device, {}), dst_ip)
+
+
+def _longest_match(table: Dict[Prefix, List[Route]],
+                   dst_ip: int) -> List[Route]:
+    """The routes of ``table``'s longest prefix containing ``dst_ip``
+    (empty when none does)."""
+    best_len = -1
+    best: List[Route] = []
+    for (network, length), routes in table.items():
+        if length > best_len and iplib.prefix_contains(network, length,
+                                                       dst_ip):
+            best_len = length
+            best = routes
+    return best
 
 
 class ControlPlaneSimulator:
@@ -407,12 +413,7 @@ class ControlPlaneSimulator:
             dev = self.network.device(current)
             if dev.delivers_locally(dst_ip):
                 return True
-            table = fibs.get(current, {})
-            best_len, best = -1, None
-            for (network, length), routes in table.items():
-                if length > best_len and iplib.prefix_contains(
-                        network, length, dst_ip):
-                    best_len, best = length, routes
+            best = _longest_match(fibs.get(current, {}), dst_ip)
             if not best or best[0].drop:
                 return False
             nxt = best[0].next_hop

@@ -93,6 +93,31 @@ class TestVerify:
                   "--dest-prefix", "10.9.0.0/24"])
 
 
+#: Every property flag, set away from its default.
+PROPERTY_FLAGS = ["--sources", "R1", "R2", "--dest-prefix", "10.9.0.0/24",
+                  "--dest-peer", "EXT", "--bound", "3", "--waypoints", "R2",
+                  "--max-leak-length", "20", "--max-failures", "1",
+                  "--announced-by", "EXT", "--no-preprocess"]
+
+
+@pytest.mark.parametrize("flags", [[], PROPERTY_FLAGS],
+                         ids=["defaults", "all-set"])
+def test_verify_and_verify_batch_share_property_flags(flags):
+    from repro.cli import _build_parser
+
+    parser = _build_parser()
+    single = vars(parser.parse_args(
+        ["verify", "cfg", "reachability", *flags]))
+    batch = vars(parser.parse_args(
+        ["verify-batch", "cfg", "--property", "reachability", *flags]))
+    shared = {"sources", "dest_prefix", "dest_peer", "bound", "waypoints",
+              "max_leak_length", "max_failures", "announced_by",
+              "no_preprocess"}
+    assert shared <= set(single) & set(batch)
+    assert ({key: single[key] for key in shared}
+            == {key: batch[key] for key in shared})
+
+
 class TestVerifyBatch:
     def test_flags_mode_all_hold(self, config_dir, capsys):
         code = main(["verify-batch", config_dir,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import NetworkBuilder, Verifier
-from repro.core import BatchEngine, BatchQuery, properties as P, verify_batch
+from repro.core import BatchEngine, BatchQuery, properties as P
 from repro.core.encoder import EncoderOptions
 
 
@@ -80,7 +80,7 @@ class TestBatchMatchesSerial:
     def test_chain_matrix(self):
         network = ospf_chain(3)
         queries = query_matrix()
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         assert_matches_serial(network, queries, results)
         # Spot-check expected verdicts, not just serial agreement.
         assert [r.holds for r in results] == \
@@ -102,7 +102,7 @@ class TestBatchMatchesSerial:
                                           dest_prefix_text="10.9.0.0/24")),
             BatchQuery(P.NoForwardingLoops(dest_prefix_text="10.9.0.0/24")),
         ]
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         assert_matches_serial(network, queries, results)
 
     def test_instrumented_query_does_not_taint_siblings(self):
@@ -119,7 +119,7 @@ class TestBatchMatchesSerial:
             BatchQuery(P.EqualPathLengths(routers=["L", "R"],
                                           dest_prefix_text="10.9.0.0/24")),
         ]
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         assert_matches_serial(network, queries, results)
         assert results[0].holds is False
 
@@ -136,14 +136,14 @@ class TestBatchMatchesSerial:
                        label="assumed"),
             BatchQuery(prop, label="unassumed"),
         ]
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         assert results[0].holds is True
         assert results[1].holds is False
         assert_matches_serial(network, queries, results)
 
     def test_plain_properties_accepted(self):
         network = ospf_chain(2)
-        results = verify_batch(network, [
+        results = BatchEngine(network).run([
             P.Reachability(sources="all", dest_prefix_text="10.9.0.0/24"),
             P.NoForwardingLoops(dest_prefix_text="10.9.0.0/24"),
         ])
@@ -154,7 +154,7 @@ class TestGroupingAndOrdering:
     def test_results_in_query_order(self):
         network = ospf_chain(3)
         queries = query_matrix()
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         expected_names = [q.name() for q in queries]
         assert [r.property_name for r in results] == expected_names
 
@@ -197,8 +197,8 @@ class TestParallel:
     def test_parallel_matches_serial(self):
         network = ospf_chain(3)
         queries = query_matrix()
-        serial = verify_batch(network, queries, workers=1)
-        parallel = verify_batch(network, queries, workers=2)
+        serial = BatchEngine(network, workers=1).run(queries)
+        parallel = BatchEngine(network, workers=2).run(queries)
         assert [r.holds for r in serial] == [r.holds for r in parallel]
         assert [r.property_name for r in serial] == \
             [r.property_name for r in parallel]
@@ -217,7 +217,7 @@ class TestLazyFallback:
             BatchQuery(P.Reachability(sources="all",
                                       dest_prefix_text="10.9.0.0/24")),
         ]
-        results = verify_batch(network, queries)
+        results = BatchEngine(network).run(queries)
         assert results[0].property_name == "lb"
         assert results[0].holds is True
         assert results[1].holds is True
@@ -255,6 +255,8 @@ class TestEncodingCache:
         engine, cache, prop, key = self._bound_engine()
         [k1] = engine.run([BatchQuery(prop, max_failures=1)])
         assert k1.holds is False
+        # A miss pays the encoding, timed even with no tracer installed.
+        assert k1.encode_shared_seconds > 0.0
         assert cache.get(key).options.max_failures == 1
         [k0] = engine.run([BatchQuery(prop, max_failures=0)])
         assert engine.last_encoding_stats == {"hits": 1, "misses": 0}
@@ -422,7 +424,7 @@ class TestEncodingCache:
 class TestStats:
     def test_per_query_stats_populated(self):
         network = undecided_chain(3)
-        results = verify_batch(network, query_matrix())
+        results = BatchEngine(network).run(query_matrix())
         for result in results:
             assert result.num_variables > 0
             assert result.num_clauses > 0
@@ -452,7 +454,7 @@ class TestStats:
             BatchQuery(P.NoForwardingLoops(
                 dest_prefix_text="10.9.0.0/24")),
         ]
-        results = verify_batch(network, queries)  # one group (same key)
+        results = BatchEngine(network).run(queries)  # one group (same key)
         shares = {r.encode_shared_seconds for r in results}
         assert len(shares) == 1, "equal amortized share per group member"
         assert shares.pop() > 0
@@ -475,7 +477,7 @@ class TestStats:
         ]
         tracer = obs.Tracer()
         with obs.use(tracer):
-            results = verify_batch(network, queries)
+            results = BatchEngine(network).run(queries)
         shared_spans = sum(s["duration"] for s in tracer.spans
                            if s["name"] == "verify.encode")
         query_spans = sum(s["duration"] for s in tracer.spans
@@ -515,9 +517,9 @@ class TestPoolFallback:
         with obs.use(tracer):
             with pytest.warns(RuntimeWarning,
                               match="process pool failed"):
-                results = verify_batch(network, queries, workers=2)
+                results = BatchEngine(network, workers=2).run(queries)
         assert tracer.metrics.counter("engine.pool_fallback").value == 1
-        serial = verify_batch(network, queries, workers=1)
+        serial = BatchEngine(network, workers=1).run(queries)
         assert [r.holds for r in results] == [r.holds for r in serial]
 
     def test_healthy_pool_does_not_tick_fallback(self):
@@ -525,5 +527,5 @@ class TestPoolFallback:
         network = ospf_chain(3)
         tracer = obs.Tracer()
         with obs.use(tracer):
-            verify_batch(network, query_matrix(), workers=2)
+            BatchEngine(network, workers=2).run(query_matrix())
         assert tracer.metrics.counter("engine.pool_fallback").value == 0

@@ -4,8 +4,8 @@ The verifier, the batch engine and the equivalence checker all build
 their own :class:`~repro.smt.Solver`; each must honor the option, and
 the verdicts must be independent of it (the pipeline is transparent)."""
 
-from repro.core import (BatchQuery, EncoderOptions, Verifier,
-                        properties as P, verify_batch)
+from repro.core import (BatchEngine, BatchQuery, EncoderOptions, Verifier,
+                        properties as P)
 from repro.smt import Solver
 
 from tests.core.test_verifier import diamond, ospf_chain
@@ -47,8 +47,7 @@ def test_batch_engine_threads_option():
                BatchQuery(P.NoForwardingLoops())]
     verdicts = {}
     for toggle in (True, False):
-        results = verify_batch(
-            network, queries,
-            options=EncoderOptions(preprocess=toggle))
+        results = BatchEngine(
+            network, options=EncoderOptions(preprocess=toggle)).run(queries)
         verdicts[toggle] = [r.holds for r in results]
     assert verdicts[True] == verdicts[False] == [True, True]

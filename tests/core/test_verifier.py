@@ -3,7 +3,7 @@
 import pytest
 
 from repro import NetworkBuilder, Verifier
-from repro.core import properties as P
+from repro.core import BatchQuery, properties as P
 from repro.core.encoder import EncoderOptions
 from repro.net import AclRule, PrefixListEntry, RouteMapClause
 from repro.net import ip as iplib
@@ -659,6 +659,38 @@ DIAMOND_PROPERTIES = [
 ]
 
 
+def external_peer():
+    """R1 with one external BGP peer, EXT."""
+    b = NetworkBuilder()
+    b.device("R1").enable_bgp(65001)
+    b.external_peer("R1", asn=65100, name="EXT")
+    return b
+
+
+#: ``(network builder, property, max_failures, assumptions)``: every
+#: :data:`DIAMOND_PROPERTIES` entry at the default bound (the
+#: simulation decides Reachability, NoForwardingLoops and NoBlackHoles
+#: there), then queries at k=1, one of which the simulation decides,
+#: and one under an ``announces`` assumption.
+BATCH_OF_ONE_CASES = [
+    pytest.param(diamond, prop, None, (), id=type(prop).__name__)
+    for prop in DIAMOND_PROPERTIES
+] + [
+    pytest.param(diamond, P.Reachability(sources="all", dest_prefix_text=DST),
+                 1, (), id="Reachability-k1"),
+    pytest.param(diamond, P.DisjointPaths(router_a="L", router_b="R",
+                                          dest_prefix_text=DST),
+                 1, (), id="DisjointPaths-k1"),
+    pytest.param(diamond, P.NoForwardingLoops(dest_prefix_text=DST),
+                 1, (), id="NoForwardingLoops-k1"),
+    pytest.param(external_peer,
+                 P.Reachability(sources=["R1"], dest_peer="EXT",
+                                dest_prefix_text="8.0.0.0/8"),
+                 None, (P.announces("EXT", min_length=8),),
+                 id="Reachability-announces"),
+]
+
+
 class TestVerifyIsABatchOfOne:
     def test_every_non_lazy_property_is_covered(self):
         classes = {cls for cls in vars(P).values()
@@ -667,12 +699,17 @@ class TestVerifyIsABatchOfOne:
                    and not getattr(cls, "lazy", False)}
         assert classes == {type(prop) for prop in DIAMOND_PROPERTIES}
 
-    @pytest.mark.parametrize("prop", DIAMOND_PROPERTIES,
-                             ids=lambda prop: type(prop).__name__)
-    def test_same_verdict_and_cnf_as_batch(self, prop):
-        verifier = Verifier(diamond().build())
-        single = verifier.verify(prop)
-        [batched] = verifier.verify_batch([prop])
+    @pytest.mark.parametrize("build, prop, max_failures, assumptions",
+                             BATCH_OF_ONE_CASES)
+    def test_same_verdict_and_cnf_as_batch(self, build, prop, max_failures,
+                                           assumptions):
+        verifier = Verifier(build().build())
+        single = verifier.verify(prop, max_failures=max_failures,
+                                 assumptions=assumptions)
+        [batched] = verifier.verify_batch([BatchQuery(
+            prop, max_failures=max_failures, assumptions=assumptions)])
         assert single.holds == batched.holds
+        assert single.method == batched.method
         assert single.num_variables == batched.num_variables
         assert single.num_clauses == batched.num_clauses
+        assert single.conflicts == batched.conflicts

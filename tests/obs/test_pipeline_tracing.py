@@ -3,7 +3,7 @@
 import pytest
 
 from repro import Verifier, obs
-from repro.core import properties as P, verify_batch
+from repro.core import BatchEngine, properties as P
 
 from tests.core.test_engine import ospf_chain, query_matrix, undecided_chain
 
@@ -46,10 +46,10 @@ def test_verify_stats_without_tracer_still_populated():
 def test_tracing_does_not_change_verdicts():
     network = ospf_chain(3)
     queries = query_matrix()
-    baseline = verify_batch(network, queries)
+    baseline = BatchEngine(network).run(queries)
     tracer = obs.Tracer()
     with obs.use(tracer):
-        traced = verify_batch(network, queries)
+        traced = BatchEngine(network).run(queries)
     assert [r.holds for r in traced] == [r.holds for r in baseline]
 
 
@@ -57,7 +57,7 @@ def test_batch_group_spans_and_cnf_attribution():
     network = undecided_chain(3)
     tracer = obs.Tracer()
     with obs.use(tracer):
-        verify_batch(network, query_matrix())
+        BatchEngine(network).run(query_matrix())
     names = [s["name"] for s in tracer.spans]
     assert "batch.run" in names
     assert names.count("batch.query") == len(query_matrix())
@@ -72,9 +72,9 @@ def test_parallel_workers_merge_traces():
     queries = query_matrix()
     tracer = obs.Tracer()
     with obs.use(tracer):
-        results = verify_batch(network, queries, workers=2)
+        results = BatchEngine(network, workers=2).run(queries)
     assert [r.holds for r in results] == \
-        [r.holds for r in verify_batch(network, queries)]
+        [r.holds for r in BatchEngine(network).run(queries)]
     lanes = {s.get("lane") for s in tracer.spans}
     assert len(lanes) > 1, "worker group lanes merged into the trace"
     # Worker roots hang off the parent's batch.run span.

@@ -4,7 +4,7 @@ import os
 
 import pytest
 
-from repro.core import BatchQuery, Verifier, properties as P
+from repro.core import BatchEngine, BatchQuery, Verifier, properties as P
 from repro.lang import write_config
 from repro.net import NetworkBuilder
 from repro.serve import SnapshotRegistry, TTLLRUCache
@@ -177,7 +177,7 @@ class TestRefresh:
         snap = registry.ingest("t1", texts, name="prod")
         old_scope = snap.scope
         new_texts = build_texts("10.8.0.1/24")
-        real_init = Verifier.__init__
+        real_init = BatchEngine.__init__
         raced = []
 
         def racing_init(self, network, **kwargs):
@@ -188,7 +188,7 @@ class TestRefresh:
                 registry.refresh(snap, new_texts)
             real_init(self, network, **kwargs)
 
-        monkeypatch.setattr(Verifier, "__init__", racing_init)
+        monkeypatch.setattr(BatchEngine, "__init__", racing_init)
         results, _ = registry.verify(snap, [reach()])
         assert results[0].holds is not None
         assert snap.scope != old_scope

@@ -328,6 +328,30 @@ class TestErrors:
         assert status == 400
         assert "teleportation" in doc["error"]
 
+    @pytest.mark.parametrize("spec, message", [
+        ({"property": "reachability", "sources": "R1"},
+         "query 0: sources must be a list of names"),
+        ({"property": "bounded-length", "bound": "x"},
+         "query 0: bound must be a non-negative integer"),
+        ({"property": "reachability", "dest_prefix": "10.0.0.0/33"},
+         "query 0: dest_prefix '10.0.0.0/33' is not a prefix A.B.C.D/len"),
+        ({"property": "reachability", "sources": ["R1", "nope"]},
+         "query 0: sources names no router of the snapshot: nope"),
+        ({"property": "waypoint", "sources": ["R1"], "waypoints": ["R9"]},
+         "query 0: waypoints names no router of the snapshot: R9"),
+        ({"property": "reachability", "max_failures": True},
+         "query 0: max_failures must be a non-negative integer"),
+    ], ids=["sources-string", "bound-string", "prefix-length",
+            "unknown-source", "unknown-waypoint", "max-failures-bool"])
+    def test_malformed_query_spec_is_400(self, server, spec, message):
+        call(server, "POST", "/v1/snapshots",
+             {"configs": build_texts(), "name": "prod"})
+        body = dict({"dest_prefix": "10.9.0.0/24"}, **spec)
+        status, doc, _ = call(server, "POST",
+                              "/v1/snapshots/prod/verify", body)
+        assert status == 400
+        assert doc["error"] == message
+
     def test_ingest_requires_exactly_one_source(self, server):
         status, _, _ = call(server, "POST", "/v1/snapshots", {})
         assert status == 400

@@ -410,8 +410,8 @@ def _flag_spec(args, kind: str) -> dict:
 def _queries(specs: List[dict], network=None) -> List[BatchQuery]:
     """The queries of ``specs``, checked and built by the serve API's
     own :mod:`repro.serve.schemas` (with ``network``, their router
-    names are checked against it too); its 400s become the CLI's
-    ``SystemExit`` messages."""
+    and external peer names are checked against it too); its 400s
+    become the CLI's ``SystemExit`` messages."""
     from repro.serve.schemas import ApiError, check_routers, query_from_spec
 
     try:

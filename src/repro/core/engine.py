@@ -164,19 +164,21 @@ class GroupEncoding:
         this estimate is linear in the CNF variables, the live problem
         clauses and the learnt clauses kept.  The constants were fitted
         to the bytes tracemalloc sees freed when a warm encoding is
-        dropped: restricted groups after one reachability query at
-        failure bounds 0 and 1 (pods-2 fat-tree, cloud-corpus networks
-        0, 2, 5, 11 and 40; 2,130-11,120 vars, up to 4,680 learnt
-        clauses, 1.4-9.6 MB), and prefix-free encodings of serve-mix's
-        two snapshots after 1 to 112 queries (2,940-7,460 vars, 2.6-7.8
-        MB).  Every estimate lies within 0.93-1.07x of its
+        dropped, which include its term graph (the term table is weak,
+        so terms no other live encoding shares die with it):
+        restricted groups after one reachability query at failure
+        bounds 0 and 1 (pods-2 fat-tree, cloud-corpus networks 0, 2,
+        5, 11, 40 and 51; 2,110-10,630 vars, up to 10,900 learnt
+        clauses, 2.5-18.0 MB), and prefix-free encodings of serve-mix's
+        two snapshots after 1 to 112 queries (2,330-7,460 vars,
+        3.2-11.9 MB).  Every estimate lies within 0.96-1.08x of its
         measurement.  Live clauses need their own term: a prefix-free
-        encoding keeps 2.8-3.3 per variable, where a restricted one,
+        encoding keeps 2.7-3.3 per variable, where a restricted one,
         simplified under its prefix, keeps 1.4-2.1.
         """
         stats = self.solver.stats
-        return (4096 + 400 * self.solver.num_variables
-                + 150 * stats["live_clauses"] + 450 * stats["learned"])
+        return (4096 + 960 * self.solver.num_variables
+                + 150 * stats["live_clauses"] + 480 * stats["learned"])
 
     def solve_one(self, query: "BatchQuery", tracer=None,
                   shared_share: float = 0.0) -> VerificationResult:

@@ -169,7 +169,13 @@ def diff_networks(
     query's dependency slice is on the NEW network (device and
     fragment counts), so the effect of the dataflow cone tightening is
     observable from the CLI.
+
+    Raises :class:`DiffError` when a query names a router or external
+    peer that either network lacks.
     """
+    # Imported here: repro.serve imports this module.
+    from repro.serve.schemas import ApiError, check_routers
+
     start = time.perf_counter()
     if cache is None:
         cache = VerdictCache()
@@ -177,6 +183,11 @@ def diff_networks(
         q if isinstance(q, BatchQuery) else BatchQuery(prop=q)
         for q in queries
     ]
+    for side, network, tree in (("OLD", old, old_dir), ("NEW", new, new_dir)):
+        try:
+            check_routers(batch, network)
+        except ApiError as exc:
+            raise DiffError(f"{side} tree {tree}: {exc.message}") from exc
     changed, added, removed = changed_devices(old, new)
     from repro.obs.ledger import network_hash
 
@@ -266,7 +277,8 @@ def diff_trees(
     """Parse both config trees and diff the query verdicts.
 
     Raises :class:`DiffError` when either tree cannot be read or
-    parsed (the CLI maps this to exit code 2).
+    parsed, or a query names a router or peer it lacks (the CLI maps
+    this to exit code 2).
     """
     try:
         old = load_network(old_dir)

@@ -433,8 +433,9 @@ class SnapshotRegistry:
     def verify(self, snap: Snapshot, queries) -> Tuple[List, Dict]:
         """Run a batch against a snapshot through every cache layer:
         :meth:`BatchEngine.run` with the snapshot's verdict cache and
-        the shared encoding cache.  A query naming a router the
-        snapshot lacks is a 400 (:func:`check_routers`).
+        the shared encoding cache.  A query naming a router or an
+        external peer the snapshot lacks is a 400
+        (:func:`check_routers`).
 
         Returns ``(results, stats)`` where stats reports the request's
         own verdict replays and encoding-cache hits/misses (from

@@ -9,8 +9,8 @@ one definition of a *query spec* — the flat JSON object (``{"property":
 Validation failures raise :class:`ApiError` carrying the HTTP status
 the server should answer with; the CLI maps the same errors onto
 ``SystemExit`` messages.  A spec is checked before any query runs: field
-types and prefix syntax by :func:`query_from_spec`, router names
-against the network by :func:`check_routers`.
+types and prefix syntax by :func:`query_from_spec`, router and
+external peer names against the network by :func:`check_routers`.
 """
 
 from __future__ import annotations
@@ -186,25 +186,30 @@ def query_from_spec(spec: Any, index: int = 0) -> BatchQuery:
 
 
 def check_routers(queries: List[BatchQuery], network) -> None:
-    """Reject a query whose ``sources`` or ``waypoints`` name a router
-    the network does not have (the encoder would fail on it with a
-    ``KeyError``)."""
-    routers = set(network.router_names())
+    """Reject a query whose ``sources`` or ``waypoints`` name a router,
+    or whose ``announced_by`` names an external peer, that the network
+    does not have (the encoder would fail on it with a ``KeyError``)."""
+    known = {
+        "router": set(network.router_names()),
+        "external peer": {peer.name for peer in network.externals},
+    }
     for index, query in enumerate(queries):
         prop = query.prop
         sources = getattr(prop, "sources", ())
         if hasattr(prop, "source"):
             sources = [prop.source]
+        announced = [a.peer for a in query.assumptions if hasattr(a, "peer")]
         fields = (
-            ("sources", () if sources == "all" else sources),
-            ("waypoints", getattr(prop, "waypoints", ())),
+            ("sources", () if sources == "all" else sources, "router"),
+            ("waypoints", getattr(prop, "waypoints", ()), "router"),
+            ("announced_by", announced, "external peer"),
         )
-        for field, names in fields:
-            unknown = sorted(set(names) - routers)
+        for field, names, kind in fields:
+            unknown = sorted(set(names) - known[kind])
             if unknown:
                 raise ApiError(
                     400,
-                    f"query {index}: {field} names no router of the "
+                    f"query {index}: {field} names no {kind} of the "
                     f"snapshot: {', '.join(unknown)}",
                 )
 

@@ -10,15 +10,30 @@ The Minesweeper encoding only needs a small logic fragment:
 * single-bit extraction (used for prefix matches against constants).
 
 Terms are immutable and hash-consed per :class:`Context`: structurally equal
-terms are the *same* Python object, so identity comparison, ``id()`` based
-memo tables and ``in`` checks are all structural.  Smart constructors perform
-light simplification (constant folding, flattening, unit laws) at build time,
-which keeps downstream bit-blasting small without a separate rewriting pass.
+live terms are the *same* Python object, so identity comparison, ``tid``
+keyed memo tables and ``in`` checks are all structural.  Smart constructors
+perform light simplification (constant folding, flattening, unit laws) at
+build time, which keeps downstream bit-blasting small without a separate
+rewriting pass.
+
+Interning is weak, as in Z3's reference-counted term table: the table
+does not keep a term alive, so a term is freed, by reference counting,
+once nothing uses it (an encoding, a solver's memo tables, a parent
+term).  Rebuilding a freed term mints a new ``tid``.  Tids increase with
+creation and are never reused, so a memo keyed by the ``tid`` of a dead
+term is stale but never wrong.  A dropped encoding therefore takes its
+term graph with it, and the terms of the next one are numbered in the
+same relative order whatever the process built and dropped before
+(terms a live encoding shares keep their older ids).
 """
 
 from __future__ import annotations
 
+import itertools
+from _weakref import _remove_dead_weakref
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence, Tuple, Union
+from weakref import ref
 
 __all__ = [
     "Context",
@@ -56,6 +71,18 @@ __all__ = [
 BOOL: Tuple[str, ...] = ("bool",)
 
 
+_tid = attrgetter("tid")
+
+
+class _Ref(ref):
+    """A weak reference to an interned term that knows its table key.
+
+    Like :class:`weakref.KeyedRef`, but with no Python-level
+    ``__new__``/``__init__`` on the interning hot path."""
+
+    __slots__ = ("key",)
+
+
 def bv_sort(width: int) -> Tuple[str, int]:
     """The sort of unsigned bit-vectors of the given positive width."""
     if width <= 0:
@@ -71,10 +98,12 @@ class Term:
         args: child terms (a tuple; empty for leaves).
         payload: leaf data — variable name, constant value, or bit index.
         sort: ``BOOL`` or ``("bv", width)``.
-        tid: dense per-context integer id (stable creation order).
+        tid: per-context integer id, increasing in creation order and
+            never reused; also the hash.
     """
 
-    __slots__ = ("kind", "args", "payload", "sort", "tid", "ctx", "_hash")
+    __slots__ = ("kind", "args", "payload", "sort", "tid", "ctx",
+                 "__weakref__")
 
     def __init__(self, ctx: "Context", kind: str, args: Tuple["Term", ...],
                  payload, sort: Tuple, tid: int):
@@ -84,11 +113,10 @@ class Term:
         self.payload = payload
         self.sort = sort
         self.tid = tid
-        self._hash = hash((kind, tuple(a.tid for a in args), payload, sort))
 
     # Hash-consing makes identity equality structural; inherit object.__eq__.
     def __hash__(self) -> int:
-        return self._hash
+        return self.tid
 
     @property
     def width(self) -> int:
@@ -145,31 +173,50 @@ class Term:
 
 
 class Context:
-    """Owns the intern table for a family of terms.
+    """Owns the weak intern table for a family of terms.
 
     Terms from different contexts must not be mixed; the module-level
-    :func:`default_context` suffices for nearly all uses, but isolated
-    contexts let long-running processes bound intern-table growth.
+    :func:`default_context` suffices for nearly all uses.  The table
+    maps ``(kind, payload, sort, *child_tids)`` to a weak reference, so
+    it holds only the terms something else keeps alive.  Interning is
+    atomic: threads building the same term at once get one object and
+    distinct terms get distinct tids.
     """
 
     def __init__(self) -> None:
         self._intern: dict = {}
-        self._next_id = 0
+        self._tids = itertools.count()
+        intern = self._intern
+
+        def forget(dead: _Ref) -> None:
+            # Drops the entry only if it is still this dead reference:
+            # a live term may already have replaced it.
+            _remove_dead_weakref(intern, dead.key)
+
+        self._forget = forget
         self.true = self._mk("true", (), None, BOOL)
         self.false = self._mk("false", (), None, BOOL)
 
     def _mk(self, kind: str, args: Tuple[Term, ...], payload, sort) -> Term:
-        key = (kind, tuple(a.tid for a in args), payload, sort)
-        found = self._intern.get(key)
-        if found is not None:
-            return found
-        term = Term(self, kind, args, payload, sort, self._next_id)
-        self._next_id += 1
-        self._intern[key] = term
-        return term
+        key = (kind, payload, sort, *map(_tid, args))
+        intern = self._intern
+        while True:
+            old = intern.get(key)
+            if old is not None:
+                found = old()
+                if found is not None:
+                    return found
+                # Dead but not yet forgotten: clear it, then race to
+                # insert like any other miss.
+                _remove_dead_weakref(intern, key)
+            term = Term(self, kind, args, payload, sort, next(self._tids))
+            new = _Ref(term, self._forget)
+            new.key = key
+            if intern.setdefault(key, new) is new:
+                return term
 
     def size(self) -> int:
-        """Number of distinct terms interned so far."""
+        """Number of live interned terms."""
         return len(self._intern)
 
 

@@ -87,6 +87,13 @@ class TestVerify:
                      "--sources", "R1", "--bound", "2",
                      "--dest-prefix", "10.9.0.0/24"]) == 0
 
+    def test_unknown_announcing_peer_exits_with_message(self, config_dir):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", config_dir, "reachability",
+                  "--dest-prefix", "10.9.0.0/24", "--announced-by", "nope"])
+        assert str(exc.value) == ("query 0: announced_by names no external "
+                                  "peer of the snapshot: nope")
+
     def test_waypoint_argument_validation(self, config_dir):
         with pytest.raises(SystemExit):
             main(["verify", config_dir, "waypoint",
@@ -177,6 +184,10 @@ class TestVerifyBatch:
         ('[{"property": "loops", "dest_prefix": "10.9.0.0/24"},'
          ' {"property": "loops", "max_failures": -1}]',
          "query 1: max_failures must be a non-negative integer"),
+        ('[{"property": "loops", "dest_prefix": "10.9.0.0/24",'
+         ' "announced_by": ["nope"]}]',
+         "query 0: announced_by names no external peer of the snapshot: "
+         "nope"),
     ])
     def test_malformed_spec_entry_exits_with_message(
             self, config_dir, tmp_path, entries, message):

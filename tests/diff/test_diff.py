@@ -316,6 +316,21 @@ def test_cli_diff_bad_tree_exits_2(trees, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, field, kind", [
+    (["--sources", "nope"], "sources", "router"),
+    (["--announced-by", "nope"], "announced_by", "external peer"),
+], ids=["unknown-source", "unknown-peer"])
+def test_cli_diff_unknown_name_exits_2(trees, capsys, flags, field, kind):
+    _, old_dir, new_dir = trees
+    code = main(["diff", str(old_dir), str(new_dir),
+                 "--property", "reachability",
+                 "--dest-prefix", "10.1.0.0/24", *flags])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: OLD tree {old_dir}: query 0: {field} names no {kind} "
+        f"of the snapshot: nope\n")
+
+
 def test_cli_diff_needs_queries(trees):
     _, old_dir, new_dir = trees
     with pytest.raises(SystemExit):

@@ -341,8 +341,12 @@ class TestErrors:
          "query 0: waypoints names no router of the snapshot: R9"),
         ({"property": "reachability", "max_failures": True},
          "query 0: max_failures must be a non-negative integer"),
+        ({"property": "reachability", "announced_by": ["nope"]},
+         "query 0: announced_by names no external peer of the snapshot: "
+         "nope"),
     ], ids=["sources-string", "bound-string", "prefix-length",
-            "unknown-source", "unknown-waypoint", "max-failures-bool"])
+            "unknown-source", "unknown-waypoint", "max-failures-bool",
+            "unknown-peer"])
     def test_malformed_query_spec_is_400(self, server, spec, message):
         call(server, "POST", "/v1/snapshots",
              {"configs": build_texts(), "name": "prod"})

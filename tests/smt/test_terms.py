@@ -1,5 +1,9 @@
 """Unit tests for the term language: construction, simplification, sorts."""
 
+import gc
+import sys
+import threading
+
 import pytest
 
 from repro.smt import (
@@ -48,6 +52,109 @@ class TestHashConsing:
         local = bool_var("hc_y")
         with pytest.raises(ValueError):
             and_(foreign, local)
+
+    def test_hash_is_the_tid(self):
+        a = bool_var("hc_a")
+        both = and_(a, bool_var("hc_b"))
+        assert hash(a) == a.tid
+        assert hash(both) == both.tid
+
+
+class TestWeakInterning:
+    """The intern table keeps no term alive: a term nothing uses is
+    freed by reference counting, and rebuilding it mints a new tid."""
+
+    def test_dropped_terms_leave_the_table(self):
+        ctx = Context()
+        base = ctx.size()
+        x, y = bv_var("wi_x", 8, ctx), bv_var("wi_y", 8, ctx)
+        term = or_(ule(x, y), eq(x, bv_val(3, 8, ctx)))
+        assert ctx.size() > base
+        del x, y, term
+        assert ctx.size() == base
+
+    def test_a_live_parent_keeps_its_children(self):
+        ctx = Context()
+        parent = and_(bool_var("wi_a", ctx), bool_var("wi_b", ctx))
+        size = ctx.size()
+        assert bool_var("wi_a", ctx) is parent.args[0]
+        assert ctx.size() == size
+
+    def test_rebuilt_term_gets_a_new_larger_tid(self):
+        ctx = Context()
+        a = bool_var("wi_a", ctx)
+        first = and_(a, bool_var("wi_b", ctx))
+        tid = first.tid
+        assert and_(a, bool_var("wi_b", ctx)) is first
+        del first
+        again = and_(a, bool_var("wi_b", ctx))
+        assert again.tid > tid
+        assert and_(bool_var("wi_b", ctx), a) is again
+
+    def test_only_the_constants_outlive_their_users(self):
+        ctx = Context()
+        a = bool_var("wi_a", ctx)
+        assert and_(a, not_(a)) is ctx.false
+        assert or_(a, ctx.true) is ctx.true
+        del a
+        assert ctx.size() == 2
+
+    def test_a_deep_chain_is_freed_without_the_collector(self):
+        ctx = Context()
+        gc.disable()
+        try:
+            chain = bool_var("wi_0", ctx)
+            for i in range(1, 100_000):
+                chain = iff(bool_var(f"wi_{i}", ctx), chain)
+            assert ctx.size() == 2 + 2 * 100_000 - 1
+            del chain
+            assert ctx.size() == 2
+        finally:
+            gc.enable()
+
+
+class TestConcurrentInterning:
+    def test_threads_share_one_object_per_key_and_unique_tids(self):
+        """Four threads intern the same 20,000 conjunctions at once,
+        switching as often as the interpreter allows, so the lookup,
+        the tid and the insert of one term interleave across threads."""
+        ctx = Context()
+        leaves = [bool_var(f"ci_{i}", ctx) for i in range(201)]
+        pairs = [(i, j) for i in range(201) for j in range(i + 1, 201)]
+        pairs = pairs[:20_000]
+        threads = 4
+        built = [[] for _ in range(threads)]
+        start = threading.Barrier(threads, timeout=60)
+
+        def intern_all(out):
+            start.wait()
+            for i, j in pairs:
+                out.append(and_(leaves[i], leaves[j]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(target=intern_all, args=(out,))
+                for out in built
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in workers)
+        assert all(len(out) == len(pairs) for out in built)
+
+        terms = {id(t): t for out in built for t in out}
+        terms.update((id(t), t) for t in leaves)
+        tids = [t.tid for t in terms.values()]
+        assert len(set(tids)) == len(tids)
+        for out in built[1:]:
+            assert all(a is b for a, b in zip(built[0], out))
+        assert len(terms) == len(pairs) + len(leaves)
+        assert ctx.size() == 2 + len(pairs) + len(leaves)
 
 
 class TestBooleanSimplification:

@@ -10,13 +10,13 @@ failure bound):
 
 * The **cone of influence** selects, for every device, the set of
   canonical config fragments (:func:`repro.lang.writer.write_fragments`)
-  whose semantics can reach the query's verdict.  The encoder constrains
-  the symbolic packet destination to the query's prefix ``p`` with a
-  hard ``fbm_const`` constraint and filters every origination candidate
+  whose semantics can reach the query's verdict.  The query constrains
+  the symbolic packet destination to its prefix ``p`` with ``fbm_const``
+  (at the root of an encoding restricted to ``p``, or as a per-query
+  assumption on a prefix-free one), and every origination candidate
   (connected subnets, static routes, BGP ``network``/aggregates, OSPF
-  interface origins) by concrete prefix match against ``p`` — so a
-  fragment whose prefix cannot overlap ``p`` is provably inert for the
-  query and may leave the slice.
+  interface origins) is matched against that packet — so a fragment
+  whose prefix cannot overlap ``p`` is provably inert and leaves the slice.
 
 * The **slice hash** is a SHA-256 over the canonical texts of exactly
   the fragments in the cone, so comment/whitespace edits (discarded by

@@ -111,11 +111,14 @@ class EncodedNetwork:
     """The result of encoding: constraints plus named model handles."""
 
     def __init__(self, network: Network, options: EncoderOptions,
-                 factory: RecordFactory, packet: PacketVars) -> None:
+                 factory: RecordFactory, packet: PacketVars,
+                 ns: str = "") -> None:
         self.network = network
         self.options = options
         self.factory = factory
         self.packet = packet
+        #: variable-name prefix, fresh variables' too: copies never share
+        self.ns = ns
         self.constraints: List[Term] = []
         # Environment handles.
         self.env: Dict[str, SymbolicRecord] = {}
@@ -152,19 +155,20 @@ class EncodedNetwork:
 
     def checkpoint(self) -> int:
         """Mark the current constraint count.  The batch engine encodes a
-        property, collects the instrumentation it appended via
-        :meth:`constraints_since`, then :meth:`rollback`s so the shared
-        encoding is not mutated across properties."""
+        property, then :meth:`rollback`s to take the instrumentation it
+        appended, so the shared encoding is not mutated across
+        properties."""
         return len(self.constraints)
 
     def constraints_since(self, mark: int) -> List[Term]:
         return self.constraints[mark:]
 
-    def rollback(self, mark: int) -> None:
-        """Drop constraints appended after ``mark``."""
+    def rollback(self, mark: int) -> List[Term]:
+        """Drop and return the constraints appended after ``mark``."""
         if mark < 0 or mark > len(self.constraints):
             raise ValueError(f"invalid checkpoint {mark}")
-        del self.constraints[mark:]
+        dropped, self.constraints[mark:] = self.constraints[mark:], []
+        return dropped
 
     # -- queries used by properties ----------------------------------------
 
@@ -202,10 +206,10 @@ class EncodedNetwork:
         return at_most_k(self.failure_bits(), k)
 
     def fresh_bool(self, stem: str) -> Term:
-        return bool_var(f"{stem}#{next(self._fresh)}")
+        return bool_var(f"{self.ns}{stem}#{next(self._fresh)}")
 
     def fresh_bv(self, stem: str, width: int) -> Term:
-        return bv_var(f"{stem}#{next(self._fresh)}", width)
+        return bv_var(f"{self.ns}{stem}#{next(self._fresh)}", width)
 
 
 class NetworkEncoder:
@@ -305,8 +309,7 @@ class NetworkEncoder:
                                     default_local_pref=DEFAULT_LOCAL_PREF)
             packet = self._make_packet(ns)
             enc = EncodedNetwork(self.network, self.options, factory,
-                                 packet)
-            self._ns = ns
+                                 packet, ns)
             self._dst_range = dst_prefix
             self._fwd_copies: Dict[Tuple[str, int], Dict[str, Term]] = {}
             if dst_prefix is not None:
@@ -362,13 +365,13 @@ class NetworkEncoder:
                 # failure bit (the adjacency is the failable unit — the
                 # model keys all gating on the router pair).
                 continue
-            var = bool_var(f"{self._ns}failed[{key[0]},{key[1]}]")
+            var = bool_var(f"{enc.ns}failed[{key[0]},{key[1]}]")
             enc.failed[key] = var
             bits.append(var)
         if self.options.fail_external:
             for peer in self.network.externals:
                 var = bool_var(
-                    f"{self._ns}failed[{peer.router},{peer.name}]")
+                    f"{enc.ns}failed[{peer.router},{peer.name}]")
                 enc.failed_ext[(peer.router, peer.name)] = var
                 bits.append(var)
         if bits:
@@ -376,7 +379,7 @@ class NetworkEncoder:
 
     def _encode_environment(self, enc: EncodedNetwork) -> None:
         for peer in self.network.externals:
-            rec = enc.factory.fresh(f"{self._ns}env[{peer.name}]")
+            rec = enc.factory.fresh(f"{enc.ns}env[{peer.name}]")
             # Environment sanity: lengths are <= 32; metrics (AS-path
             # lengths) leave headroom for internal prepending.
             enc.add(implies(rec.valid,
@@ -442,7 +445,7 @@ class NetworkEncoder:
         encoding checks on each hop, not the session."""
         stripped = _igp_only_network(self.network)
         sub = NetworkEncoder(stripped, self.options)
-        ns = f"{self._ns}copy[{start},{iplib.format_ip(dst_ip_value)}]."
+        ns = f"{enc.ns}copy[{start},{iplib.format_ip(dst_ip_value)}]."
         copy = sub.encode(dst_prefix=(dst_ip_value, 32), ns=ns)
         # Share failure variables with the outer encoding.
         for key, outer_var in enc.failed.items():
@@ -620,7 +623,7 @@ class NetworkEncoder:
             peer_best = enc.best_export.get((edge.target, "ospf"))
             if peer_best is None:
                 peer_best = factory.fresh(
-                    f"{self._ns}{edge.target}.ospf.exp")
+                    f"{enc.ns}{edge.target}.ospf.exp")
                 enc.best_export[(edge.target, "ospf")] = peer_best
             valid = and_(peer_best.valid,
                          not_(enc.link_failed(name, edge.target)))
@@ -733,7 +736,7 @@ class NetworkEncoder:
                                      name=f"{name}.{proto}.sel")
         export_rec = enc.best_export.get((name, proto))
         if export_rec is None:
-            export_rec = factory.fresh(f"{self._ns}{name}.{proto}.exp")
+            export_rec = factory.fresh(f"{enc.ns}{name}.{proto}.exp")
             enc.best_export[(name, proto)] = export_rec
         enc.add(*factory.equate(export_rec, fold))
         self._naive_prefix_constraint(enc, export_rec)
@@ -742,7 +745,7 @@ class NetworkEncoder:
         fib_fold = fold.with_(valid=and_(fold.valid, input_won))
         fib_rec = enc.best_fib.get((name, proto))
         if fib_rec is None:
-            fib_rec = factory.fresh(f"{self._ns}{name}.{proto}.fib")
+            fib_rec = factory.fresh(f"{enc.ns}{name}.{proto}.fib")
             enc.best_fib[(name, proto)] = fib_rec
         enc.add(*factory.equate(fib_rec, fib_fold))
         self._naive_prefix_constraint(enc, fib_rec)
@@ -791,7 +794,7 @@ class NetworkEncoder:
             key = (name, proto)
             rec = enc.best_fib.get(key)
             if rec is None:
-                rec = factory.fresh(f"{self._ns}{name}.{proto}.fib")
+                rec = factory.fresh(f"{enc.ns}{name}.{proto}.fib")
                 enc.best_fib[key] = rec
             return rec
         return None
@@ -814,7 +817,7 @@ class NetworkEncoder:
         factory = enc.factory
         best = enc.best_export.get((peer_name, "bgp"))
         if best is None:
-            best = factory.fresh(f"{self._ns}{peer_name}.bgp.exp")
+            best = factory.fresh(f"{enc.ns}{peer_name}.bgp.exp")
             enc.best_export[(peer_name, "bgp")] = best
 
         # Sender-side export transform.
@@ -932,7 +935,7 @@ class NetworkEncoder:
             # Naive encoding: a fresh record per session with equality
             # constraints instead of shared functional terms.
             fresh = enc.factory.fresh(
-                f"{self._ns}{name}.bgp.inrec[{sender}]")
+                f"{enc.ns}{name}.bgp.inrec[{sender}]")
             enc.add(*enc.factory.equate(fresh, record))
             self._naive_prefix_constraint(enc, fresh)
             record = fresh
@@ -1064,8 +1067,8 @@ class NetworkEncoder:
         else:
             # Naive encoding: dedicated boolean variables per edge with
             # defining constraints (what the merge slice removes).
-            cvar = enc.fresh_bool(f"{self._ns}controlfwd[{name},{target}]")
-            dvar = enc.fresh_bool(f"{self._ns}datafwd[{name},{target}]")
+            cvar = enc.fresh_bool(f"controlfwd[{name},{target}]")
+            dvar = enc.fresh_bool(f"datafwd[{name},{target}]")
             enc.add(iff(cvar, control), iff(dvar, data))
             enc.add_fwd(name, target, cvar, dvar)
 

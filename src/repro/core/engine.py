@@ -21,10 +21,11 @@ This engine exploits two levers:
   under ``dstIp ∈ D``.  Only a group whose members all share one prefix
   D, and whose encoding is not cached, is encoded restricted to D, which
   enables the connected-route slice.  On the serial path, and whenever
-  an encoding cache is in use, all of a run's undecided queries form one
-  group.  Each property's
-  instrumentation is asserted *guarded by a fresh activation literal*
-  (``act → c`` for every instrumentation constraint ``c``) and the check
+  an encoding cache is in use, all of a run's undecided queries that
+  need the same network copies (``prop.copies``) form one group.  Each
+  property's instrumentation is asserted *guarded by a fresh activation
+  literal* (``act → c`` for every instrumentation constraint ``c``) and
+  the check
   runs under ``assumptions=[act, ¬P]``.  Guarding matters: property
   instrumentation such as path-length counters is not always a
   conservative extension (a multipath state with unequal branch lengths
@@ -36,21 +37,22 @@ This engine exploits two levers:
 
 * **Process-pool parallelism across groups.**  With ``workers > 1`` and
   no encoding cache, the distinct prefixes are sorted and dealt
-  round-robin into ``min(workers, prefixes)`` groups.  Groups are
+  round-robin into ``min(workers, prefixes)`` slots, one group per slot
+  and copy layout.  Groups are
   independent (they share no solver), so they run under a
   :class:`concurrent.futures.ProcessPoolExecutor`.  Results are reordered
   to query order regardless of completion order, and any pool failure
   (spawn errors, pickling issues) falls back to the serial path.
 
 :meth:`BatchEngine.run` is the one query pipeline: ``Verifier.verify``,
-``Verifier.verify_batch``, differential verification and the serve
-registry all run their queries through it, and inside it
-:meth:`GroupEncoding.solve_one` is the only code that runs a query
-against a single-network encoding.  Lazy properties (``prop.lazy``, e.g.
-:class:`LoadBalanced`) are ordinary group members: ``solve_one`` checks
-each stable state the solver finds concretely and blocks its forwarding
-behind the query's activation literal, so the blocking clauses retire
-with the query's instrumentation.
+``Verifier.verify_batch``, the relational §5 checks, differential
+verification and the serve registry all run their queries through it,
+and inside it :meth:`GroupEncoding.solve_one` is the only code that
+runs a query against a network encoding.  Lazy properties (``prop.lazy``,
+e.g. :class:`LoadBalanced`) are ordinary group members: ``solve_one``
+checks each stable state the solver finds concretely and blocks its
+forwarding behind the query's activation literal, so the blocking
+clauses retire with the query's instrumentation.
 
 Before any of that, planning asks :func:`repro.analysis.stable.fixed_verdict`
 whether the network already fixes a query's verdict (a loop query with
@@ -73,11 +75,12 @@ from repro import obs
 from repro.obs import log as obslog
 from repro.net import ip as iplib
 from repro.net.topology import Network
-from repro.smt import SAT, Solver, UNKNOWN, UNSAT, implies, not_, or_
+from repro.smt import (SAT, Solver, Term, UNKNOWN, UNSAT, eq, implies,
+                       not_, or_)
 from .counterexample import extract_counterexample
-from .encoder import EncoderOptions, NetworkEncoder
+from .encoder import EncodedNetwork, EncoderOptions, NetworkEncoder
 from .policy_smt import fbm_const
-from .properties import Property
+from .properties import ONE_COPY, Copy, Property
 from .verifier import (
     VerificationResult,
     _query_tracer,
@@ -121,6 +124,9 @@ class GroupEncoding:
     With ``dst_prefix`` the encoding is restricted to that prefix and
     answers only queries about it; without, it answers any prefix.
 
+    ``copies`` are the network copies its queries need; ``enc`` is the
+    first that takes the query's failure bound.
+
     This is the expensive artifact batch verification amortizes — and
     the unit a long-lived service (``repro serve``) caches across
     requests.  :meth:`solve_one` retires the previous query's
@@ -138,21 +144,35 @@ class GroupEncoding:
     def __init__(self, network: Network, options: EncoderOptions,
                  conflict_budget: Optional[int] = None,
                  dst_prefix: Optional[Tuple[int, int]] = None,
-                 tracer=None) -> None:
+                 tracer=None,
+                 copies: Tuple[Copy, ...] = ONE_COPY) -> None:
         tracer = tracer if tracer is not None else obs.active()
         self.network = network
         self.options = options
         self.dst_prefix = dst_prefix
+        self.copies = copies
         self.lock = threading.Lock()
         #: the last query's activation literal, retired by the next one
         self._spent_act = None
         with tracer.span("verify.encode", shared=True) as sp:
-            encoder = NetworkEncoder(network, options)
-            self.enc = encoder.encode(dst_prefix=dst_prefix)
+            self.encs, self.bounded = [], []
+            for copy in copies:
+                overrides = dict(copy.overrides)
+                enc = NetworkEncoder(copy.network or network,
+                                     replace(options, **overrides)).encode(
+                    dst_prefix=dst_prefix, ns=copy.ns)
+                self.encs.append(enc)
+                if "max_failures" not in overrides:
+                    self.bounded.append(enc)
+            self.enc = self.bounded[0]
             self.solver = Solver(conflict_budget=conflict_budget,
                                  preprocess=options.preprocess)
-            self.solver.add(*self.enc.constraints, label="network")
-            self.base_mark = self.enc.checkpoint()
+            for enc in self.encs:
+                self.solver.add(*enc.constraints, label="network")
+            for other in self.encs[1:]:
+                self.solver.add(*_equate(self.encs[0], other),
+                                label="property")
+            self.marks = [enc.checkpoint() for enc in self.encs]
         #: one-time cost of building this encoding (the cost a warm
         #: cache hit skips entirely)
         self.encode_seconds = sp.duration
@@ -203,6 +223,9 @@ class GroupEncoding:
         if k > bound:
             raise ValueError(f"query {query.name()} needs k={k}, "
                              f"but the encoding bounds failures at {bound}")
+        if prop.copies != self.copies:
+            raise ValueError(f"query {query.name()} needs other network "
+                             f"copies than the encoding holds")
         prefix = prop.dst_prefix()
         if self.dst_prefix is not None and prefix != self.dst_prefix:
             raise ValueError(
@@ -220,9 +243,10 @@ class GroupEncoding:
                         # so the CNF buffer stays empty between queries.
                         solver.add(not_(self._spent_act),
                                    label="instrumentation")
-                    prop_term = prop.encode(enc)
-                    instrumentation = enc.constraints_since(self.base_mark)
-                    enc.rollback(self.base_mark)
+                    prop_term = prop.encode(*self.encs)
+                    instrumentation = [
+                        c for copy, mark in zip(self.encs, self.marks)
+                        for c in copy.rollback(mark)]
                     act = self._spent_act = enc.fresh_bool("batch.act")
                     solver.add(*[implies(act, c) for c in instrumentation],
                                label="instrumentation")
@@ -230,9 +254,10 @@ class GroupEncoding:
                     # to TRUE); it is checked on each model instead.
                     assumptions = [act] if lazy else [act, not_(prop_term)]
                     if k < bound:
-                        at_most = enc.failures_at_most(k)
-                        if at_most.kind != "true":
-                            assumptions.append(at_most)
+                        for copy in self.bounded:
+                            at_most = copy.failures_at_most(k)
+                            if at_most.kind != "true":
+                                assumptions.append(at_most)
                     if self.dst_prefix is None and prefix is not None:
                         inside = fbm_const(enc.dst_ip, *prefix)
                         if inside.kind != "true":
@@ -366,12 +391,15 @@ class BatchEngine:
                     results[index] = _decide(self.network, query, k)
                     if results[index] is None:
                         pending.append((index, query))
-                groups = self._groups(pending)
+                # A live solver cannot cross a process boundary.
+                pooled = self.workers > 1 and self.encoding_cache is None
+                groups = self._groups(pending, pooled)
             root.set(groups=len(groups))
             metrics.counter("batch.queries").inc(len(batch))
             metrics.counter("batch.groups").inc(len(groups))
 
-            done = len(groups) > 1 and self._run_parallel(groups, results)
+            done = (pooled and len(groups) > 1
+                    and self._run_parallel(groups, results))
             if not done:
                 for members in groups:
                     for index, result in self._run_group(members):
@@ -412,27 +440,21 @@ class BatchEngine:
 
     # ------------------------------------------------------------------
 
-    def _groups(self, pending: _Members) -> List[_Members]:
+    def _groups(self, pending: _Members, pooled: bool) -> List[_Members]:
         """Split the undecided queries into groups, each answered by
-        one encoding.
-
-        Serially, and whenever encodings are cached, all of them form
-        one group.  For the process pool the distinct prefixes are
-        sorted and dealt round-robin into ``min(workers, prefixes)``
-        groups, so each worker encodes the network once.
-        """
-        if not pending:
-            return []
-        if self.workers == 1 or self.encoding_cache is not None:
-            return [pending]
+        one encoding.  Queries that need different network copies never
+        share one; for the process pool (``pooled``) the distinct
+        prefixes are also sorted and dealt round-robin into
+        ``min(workers, prefixes)`` slots."""
         prefixes = sorted({query.prop.dst_prefix() for _, query in pending},
                           key=_prefix_order)
-        count = min(self.workers, len(prefixes))
+        count = min(self.workers, len(prefixes)) if pooled else 1
         slot = {prefix: i % count for i, prefix in enumerate(prefixes)}
-        groups: List[_Members] = [[] for _ in range(count)]
+        groups: Dict[Tuple, _Members] = {}
         for index, query in pending:
-            groups[slot[query.prop.dst_prefix()]].append((index, query))
-        return groups
+            key = (query.prop.copies, slot[query.prop.dst_prefix()])
+            groups.setdefault(key, []).append((index, query))
+        return list(groups.values())
 
     def _group_options(self, members: _Members) -> EncoderOptions:
         """The engine options at the group's bound: the largest
@@ -486,9 +508,11 @@ class BatchEngine:
                    ) -> List[Tuple[int, VerificationResult]]:
         """Discharge one group in this process: on the network's cached
         encoding when the engine has an encoding cache, else on a fresh
-        one."""
+        one.  Only single-network groups are cached: the key names one
+        copy."""
         options = self._group_options(members)
-        group, reused = self._cached_group(options)
+        group, reused = self._cached_group(options) \
+            if members[0][1].prop.copies == ONE_COPY else (None, False)
         pairs, _ = _solve_group(self.network, options, self.conflict_budget,
                                 _shared_prefix(members), members,
                                 group=group, reused=reused)
@@ -511,7 +535,7 @@ class BatchEngine:
         and ships them back with its results; they are merged here, at
         join, each group on its own lane.
         """
-        workers = len(groups)
+        workers = min(self.workers, len(groups))
         tracer = obs.active()
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -585,8 +609,8 @@ def _shared_prefix(members: _Members) -> Optional[Tuple[int, int]]:
 
 
 def _group_lane(members: _Members, k: int) -> str:
-    """``group {first prefix}[+{more}] k={k}``: unique per pool group,
-    since each prefix is dealt to one group."""
+    """``group {first prefix}[+{more}] k={k}``; groups of different copy
+    layouts may share a lane name."""
     prefixes = sorted({query.prop.dst_prefix() for _, query in members},
                       key=_prefix_order)
     more = f"+{len(prefixes) - 1}" if len(prefixes) > 1 else ""
@@ -605,8 +629,9 @@ def _solve_group(network: Network, options: EncoderOptions,
                             Optional[Dict]]:
     """Discharge every query of a group against one encoding: ``group``
     when given (a cached encoding; ``reused`` when it paid its encode
-    cost in an earlier run), else a fresh one at ``options``, restricted
-    to ``dst_prefix`` (the prefix every member is about, if any).
+    cost in an earlier run), else a fresh one at ``options`` over the
+    copies the members need, restricted to ``dst_prefix`` (the prefix
+    every member is about, if any).
 
     Module-level so it can be pickled to process-pool workers (the
     pool path never ships ``group`` — a live solver cannot cross a
@@ -629,7 +654,8 @@ def _solve_group(network: Network, options: EncoderOptions,
                          reused=reused, dst_prefix=lane):
             if group is None:
                 group = GroupEncoding(network, options, conflict_budget,
-                                      dst_prefix, tracer=tracer)
+                                      dst_prefix, tracer=tracer,
+                                      copies=members[0][1].prop.copies)
             # The one-time shared encoding is amortized evenly; each
             # result carries its share in ``encode_shared_seconds`` so
             # batch totals sum to real wall time without
@@ -641,3 +667,17 @@ def _solve_group(network: Network, options: EncoderOptions,
                                              shared_share=share))
                      for index, query in members]
     return pairs, (collector.export() if collector is not None else None)
+
+
+def _equate(a: EncodedNetwork, b: EncodedNetwork) -> List[Term]:
+    """Two copies see one packet and one announcement per shared
+    external peer.  A header field no ACL of a copy's network reads is
+    the constant 0 there, so only fields both hold symbolically are
+    equated: the other copy's field stays free."""
+    out = [eq(fa, fb) for fa, fb in zip(vars(a.packet).values(),
+                                        vars(b.packet).values())
+           if fa.kind != "bvval" and fb.kind != "bvval"]
+    for peer, rec_a in a.env.items():
+        if peer in b.env:
+            out.extend(a.factory.equate(rec_a, b.env[peer]))
+    return out

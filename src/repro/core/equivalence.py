@@ -15,6 +15,7 @@ the same template, so ordering is stable).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import List, Optional, Tuple
 
 from repro.net import ip as iplib
@@ -51,39 +52,44 @@ def check_local_equivalence(network: Network, router_a: str, router_b: str,
       the role-defining ``mgmt``/``rack`` interfaces pair up, point-to-
       point link interfaces are ignored).
     """
-    from .verifier import VerificationResult, _check, _query_tracer
+    from .verifier import (VerificationResult, _query_tracer, _result,
+                           _span_stats)
 
     options = options or EncoderOptions()
     dev_a = network.device(router_a)
     dev_b = network.device(router_b)
     name = f"LocalEquivalence[{router_a},{router_b}]"
-    attrs = {"routers": f"{router_a},{router_b}"}
-
     structural = _structural_mismatch(
         dev_a, dev_b, check_ifaces=iface_pairing == "sorted")
+    tracer = _query_tracer()
+    root = tracer.span("verify.local_equivalence",
+                       routers=f"{router_a},{router_b}")
     if structural is not None:
         # Decided without an encoding: the root span has no children.
-        with _query_tracer().span("verify.local_equivalence",
-                                  **attrs) as root:
+        with root:
             pass
         return VerificationResult(property_name=name, holds=False,
                                   message=structural,
                                   seconds=root.duration)
-
-    def encode():
-        state = _differences(network, dev_a, dev_b, options, iface_pairing)
-        return Solver(conflict_budget=conflict_budget,
-                      preprocess=options.preprocess), state
-
-    def instrument(solver, state):
-        packet, differences = state
-        return (or_(*differences) if differences else FALSE,
-                lambda model: (None, (
-                    f"{router_a} and {router_b} differ, e.g. for "
-                    f"dstIp={iplib.format_ip(model.eval(packet.dst_ip))}")))
-
-    return _check(name, "verify.local_equivalence", attrs, encode,
-                  instrument)
+    with root:
+        with tracer.span("verify.encode") as sp_shared:
+            packet, differences = _differences(
+                network, dev_a, dev_b, options, iface_pairing)
+            solver = Solver(conflict_budget=conflict_budget,
+                            preprocess=options.preprocess)
+        with tracer.span("verify.property", property=name) as sp_query:
+            solver.add(or_(*differences) if differences else FALSE,
+                       label="property")
+        with tracer.span("verify.solve") as sp_solve:
+            outcome = solver.check()
+        result = _result(
+            name, outcome, solver, tracer,
+            lambda model: (None, (
+                f"{router_a} and {router_b} differ, e.g. for dstIp="
+                f"{iplib.format_ip(model.eval(packet.dst_ip))}")))
+    return replace(result, **_span_stats(
+        root.duration, sp_shared.duration, sp_query,
+        [(sp_solve, solver.last_check_stats["conflicts"])], solver))
 
 
 def _differences(network: Network, dev_a: DeviceConfig,

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.net import ip as iplib
+from repro.net.topology import Network
 from repro.smt import (
     FALSE,
     TRUE,
@@ -53,6 +54,9 @@ __all__ = [
     "PathPreference",
     "NoPrefixLeak",
     "LoadBalanced",
+    "FaultInvariance",
+    "PairwiseFaultInvariance",
+    "FullEquivalence",
     "reach_instrumentation",
     "path_length_instrumentation",
 ]
@@ -60,11 +64,29 @@ __all__ = [
 PATHLEN_WIDTH = 8
 
 
+@dataclass(frozen=True)
+class Copy:
+    """A network copy to encode: name prefix, network (None: the verified
+    one) and encoder options set over the group's.  A copy that sets
+    ``max_failures`` does not take the query's failure bound."""
+
+    ns: str = ""
+    network: Optional[Network] = None
+    overrides: Tuple[Tuple[str, object], ...] = ()
+
+
+ONE_COPY = (Copy(),)
+
+
 class Property:
     """Base class; subclasses implement :meth:`encode`."""
 
     #: minimum number of failures the encoding must model
     failures_needed: int = 0
+
+    #: the network copies :meth:`encode` takes, one encoding each: the
+    #: relational §5 checks compare two over one packet and environment
+    copies: Tuple[Copy, ...] = ONE_COPY
 
     #: the destination prefix the packet is restricted to, if any
     dest_prefix_text: Optional[str] = None
@@ -76,11 +98,13 @@ class Property:
         return iplib.parse_prefix(self.dest_prefix_text)
 
     def encode(self, enc: EncodedNetwork) -> Term:
-        """Add instrumentation to ``enc`` and return the property term P."""
+        """Add instrumentation to ``enc`` (one per copy) and return the
+        property term P."""
         raise NotImplementedError
 
     def describe_violation(self, enc: EncodedNetwork, model) -> str:
-        """One-line interpretation of a counterexample model."""
+        """One-line interpretation of a counterexample model (``enc``:
+        the first copy that takes the query's failure bound)."""
         return f"{type(self).__name__} violated"
 
 
@@ -669,6 +693,96 @@ class LoadBalanced(Property):
                 return (f"load imbalance {a}={ta} vs {b}={tb} "
                         f"exceeds {self.threshold}")
         return None
+
+
+# ---------------------------------------------------------------------------
+# Relational checks (§5): two copies, one packet, one environment
+# ---------------------------------------------------------------------------
+
+_FAILURE_FREE = Copy("c0.", overrides=(("max_failures", 0),))
+
+
+@dataclass
+class FaultInvariance(Property):
+    """``prop`` holds with no failures (copy ``c0.``) exactly when it
+    holds under the query's ``k`` or more failures (copy ``c1.``)."""
+
+    prop: Property
+    k: int = 1
+
+    copies = (_FAILURE_FREE, Copy("c1."))
+
+    def __post_init__(self):
+        if getattr(self.prop, "lazy", False):
+            raise ValueError(f"fault invariance needs a property term, and "
+                             f"{type(self.prop).__name__} is lazy: it is "
+                             f"checked per stable state")
+        self.failures_needed = self.k
+        self.dest_prefix_text = self.prop.dest_prefix_text
+
+    def encode(self, enc0: EncodedNetwork, enc1: EncodedNetwork) -> Term:
+        return iff(self.prop.encode(enc0), self.prop.encode(enc1))
+
+    def describe_violation(self, enc, model) -> str:
+        failed = [key for bits in (enc.failed, enc.failed_ext)
+                  for key, term in bits.items() if model.eval(term)]
+        return f"behaviour differs when links {failed} fail"
+
+
+@dataclass
+class PairwiseFaultInvariance(Property):
+    """Every router reaches the destination after any ``k`` internal
+    link failures exactly when it does with none (§8.1's fourth check).
+    An external session flap changes the environment, which both copies
+    share, not the network (the paper's zero-violation finding)."""
+
+    k: int = 1
+    dest_prefix_text: Optional[str] = None
+
+    copies = (_FAILURE_FREE,
+              Copy("c1.", overrides=(("fail_external", False),)))
+
+    def __post_init__(self):
+        self.failures_needed = self.k
+
+    def encode(self, enc0: EncodedNetwork, enc1: EncodedNetwork) -> Term:
+        self._reach = [
+            reach_instrumentation(enc, _delivery_base(enc, None), f"fi{i}")
+            for i, enc in enumerate((enc0, enc1))]
+        reach0, reach1 = self._reach
+        return and_(*[iff(reach0[r], reach1[r]) for r in reach0])
+
+    def describe_violation(self, enc, model) -> str:
+        reach0, reach1 = self._reach
+        diff = [r for r in reach0
+                if model.eval(reach0[r]) != model.eval(reach1[r])]
+        return f"reachability of {diff} changes under failure"
+
+
+@dataclass
+class FullEquivalence(Property):
+    """The verified network (copy ``A.``) and ``other`` (``B.``) make
+    the same forwarding decisions and exports to external peers, paired
+    by name (§5)."""
+
+    other: Network
+
+    def __post_init__(self):
+        self.copies = (Copy("A."), Copy("B.", network=self.other))
+
+    def encode(self, enc_a: EncodedNetwork, enc_b: EncodedNetwork) -> Term:
+        # Sorted, so term ids (and the search) never follow the
+        # string-hash order.
+        agree = [iff(enc_a.data_fwd(*key), enc_b.data_fwd(*key))
+                 for key in sorted(set(enc_a.fwd) | set(enc_b.fwd))]
+        for key in sorted(set(enc_a.export_to_ext)
+                          & set(enc_b.export_to_ext)):
+            agree.extend(enc_a.factory.equate(enc_a.export_to_ext[key],
+                                              enc_b.export_to_ext[key]))
+        return and_(*agree)
+
+    def describe_violation(self, enc, model) -> str:
+        return "networks diverge on some packet/environment"
 
 
 # ---------------------------------------------------------------------------

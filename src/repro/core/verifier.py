@@ -11,39 +11,25 @@ answers a query the network already decides, the group encoding and
 :meth:`~repro.core.engine.GroupEncoding.solve_one`, lazy load-balancing
 refinement included).
 
-Also implements the one-shot §5 checks — fault invariance (plain and
-pairwise), full equivalence and local equivalence.  Each encodes two
-network copies, or two isolated routers, over one shared packet and
-environment and asserts that something differs between them; all of
-them run through one runner, :func:`_check`, and both fault-invariance
-forms share one two-copy comparison.  Every check, batch queries
-included, maps its solver outcome to a :class:`VerificationResult`
-through one helper, :func:`_result`.
+The relational §5 checks (fault invariance, full equivalence) are
+two-copy properties run the same way; local equivalence compares two
+isolated routers in :mod:`repro.core.equivalence`.  Every check maps
+its solver outcome to a :class:`VerificationResult` through
+:func:`_result`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro import obs
-from repro.net import ip as iplib
 from repro.net.topology import Network
-from repro.smt import (
-    FALSE,
-    Model,
-    Solver,
-    Term,
-    UNKNOWN,
-    UNSAT,
-    and_,
-    iff,
-    not_,
-    or_,
-)
-from .counterexample import Counterexample, extract_counterexample
-from .encoder import EncodedNetwork, EncoderOptions, NetworkEncoder
-from .properties import Property, reach_instrumentation
+from repro.smt import Model, Solver, UNKNOWN, UNSAT
+from . import properties as P
+from .counterexample import Counterexample
+from .encoder import EncoderOptions
+from .properties import Property
 
 __all__ = ["Verifier", "VerificationResult", "effective_max_failures"]
 
@@ -183,36 +169,6 @@ def _result(name: str, outcome, solver: Solver, tracer,
                               message=message)
 
 
-def _check(name: str, span: str, attrs: Dict,
-           encode: Callable[[], Tuple[Solver, object]],
-           instrument: Callable[[Solver, object],
-                                Tuple[Term, Callable]]
-           ) -> VerificationResult:
-    """Run one one-shot check under a root span named ``span``.
-
-    ``encode() -> (solver, state)`` builds the loaded solver (span
-    ``verify.encode``); ``instrument(solver, state) -> (term, explain)``
-    adds the check's instrumentation and returns the property term,
-    asserted with label ``property`` (span ``verify.property``), plus the
-    ``explain`` callback :func:`_result` reads a counterexample with.
-    The solve runs under ``verify.solve``.
-    """
-    tracer = _query_tracer()
-    root = tracer.span(span, **attrs)
-    with root:
-        with tracer.span("verify.encode") as sp_shared:
-            solver, state = encode()
-        with tracer.span("verify.property", property=name) as sp_query:
-            term, explain = instrument(solver, state)
-            solver.add(term, label="property")
-        with tracer.span("verify.solve") as sp_solve:
-            outcome = solver.check()
-        result = _result(name, outcome, solver, tracer, explain)
-    return replace(result, **_span_stats(
-        root.duration, sp_shared.duration, sp_query,
-        [(sp_solve, solver.last_check_stats["conflicts"])], solver))
-
-
 class Verifier:
     """Verify §5 properties of a network's configurations.
 
@@ -283,6 +239,13 @@ class Verifier:
         bound); ``prop.failures_needed`` still raises the bound when the
         property structurally requires more failures than requested.
         """
+        return self._verify_one(prop, max_failures, tuple(assumptions))
+
+    def _verify_one(self, prop: Property, max_failures: Optional[int],
+                    assumptions: Tuple = (),
+                    label: Optional[str] = None) -> VerificationResult:
+        """One query as a batch of one; its root ``verify`` span's
+        duration is the result's ``seconds``."""
         from .engine import BatchEngine, BatchQuery
 
         tracer = _query_tracer()
@@ -293,8 +256,7 @@ class Verifier:
             [result] = BatchEngine(
                 self.network, options=self.options,
                 conflict_budget=self.conflict_budget,
-            ).run([BatchQuery(prop=prop, max_failures=max_failures,
-                              assumptions=tuple(assumptions))])
+            ).run([BatchQuery(prop, max_failures, assumptions, label)])
         result.seconds = root.duration
         return result
 
@@ -310,9 +272,10 @@ class Verifier:
         assumption-based incremental checks: a smaller bound k is one
         more assumption, "at most k links fail", and so is the query's
         destination prefix.  With ``workers > 1`` the distinct prefixes
-        are dealt into at most ``workers`` groups, one encoding each,
-        run in a process pool; results always come back in query order,
-        identical to per-query :meth:`verify` answers.
+        are dealt into at most ``workers`` slots, one encoding per slot
+        and copy layout, run in a process pool; results always come
+        back in query order, identical to per-query :meth:`verify`
+        answers.
 
         Verdict and encoding caches are :class:`BatchEngine` arguments
         (the serve registry and differential verification pass them).
@@ -324,7 +287,7 @@ class Verifier:
                            workers=workers).run(queries)
 
     # ------------------------------------------------------------------
-    # Fault-invariance (§5): P holds with no failures iff it holds with k
+    # The §5 relational checks: one-query runs at failure bound k
     # ------------------------------------------------------------------
 
     def verify_fault_invariance(self, prop: Property,
@@ -332,86 +295,28 @@ class Verifier:
         """Check that ``prop`` holds in the failure-free network exactly
         when it holds under any ``k`` failures (two encoding copies with a
         shared environment)."""
-        name = f"FaultInvariance[{type(prop).__name__}, k={k}]"
-        return self._compare_under_failures(
-            name, "verify.fault_invariance", k,
-            replace(self.options, max_failures=k), prop.dst_prefix(),
-            lambda enc, tag: {name: prop.encode(enc)},
-            "behaviour differs when links {failed} fail")
+        return self._verify_one(
+            P.FaultInvariance(prop, k), k,
+            label=f"FaultInvariance[{type(prop).__name__}, k={k}]")
 
     def verify_pairwise_fault_invariance(self, k: int = 1,
                                          dest_prefix: Optional[str] = None,
                                          ) -> VerificationResult:
         """All router pairs are reachable exactly when they are reachable
-        after any single failure (the paper's fourth real-network check,
-        §8.1).
+        after any ``k`` internal link failures (the paper's fourth
+        real-network check, §8.1): reach bits are instrumented in both
+        copies and required to agree for every source."""
+        return self._verify_one(P.PairwiseFaultInvariance(k, dest_prefix),
+                                k, label=f"PairwiseFaultInvariance[k={k}]")
 
-        One query: reach bits are instrumented in both copies and required
-        to agree for every source.
-        """
-        # Failures range over internal links: an external session flap
-        # changes the environment, not the network, and both copies
-        # share one environment (matching the paper's zero-violation
-        # finding).
-        return self._compare_under_failures(
-            f"PairwiseFaultInvariance[k={k}]",
-            "verify.pairwise_fault_invariance", k,
-            replace(self.options, max_failures=k, fail_external=False),
-            iplib.parse_prefix(dest_prefix) if dest_prefix else None,
-            lambda enc, tag: reach_instrumentation(
-                enc, {r: enc.local_deliver.get(r, FALSE)
-                      for r in enc.routers()}, tag=tag),
-            "reachability of {diff} changes under failure")
-
-    def _compare_under_failures(
-            self, name: str, span: str, k: int, failing: EncoderOptions,
-            dst_prefix, observe: Callable[[EncodedNetwork, str],
-                                          Dict[str, Term]],
-            message: str) -> VerificationResult:
-        """The two-copy fault-invariance comparison: a failure-free copy
-        and a copy encoded with ``failing``, over one packet and one
-        environment, differ on some key of their observations
-        ``observe(enc, tag) -> {key: term}``.  ``message`` is formatted
-        with the links that failed (``failed``) and the keys that
-        differ (``diff``)."""
-        base = replace(self.options, max_failures=0)
-
-        def encode():
-            enc0 = NetworkEncoder(self.network, base).encode(
-                dst_prefix, ns="c0.")
-            enc1 = NetworkEncoder(self.network, failing).encode(
-                dst_prefix, ns="c1.")
-            solver = self._load_copies(enc0, enc1)
-            return solver, (enc0, enc1)
-
-        def instrument(solver, copies):
-            enc0, enc1 = copies
-            mark0, mark1 = enc0.checkpoint(), enc1.checkpoint()
-            obs0, obs1 = observe(enc0, "fi0"), observe(enc1, "fi1")
-            solver.add(*enc0.constraints_since(mark0),
-                       label="instrumentation")
-            solver.add(*enc1.constraints_since(mark1),
-                       label="instrumentation")
-
-            def explain(model):
-                failed = [key for key, term in enc1.failed.items()
-                          if model.eval(term)]
-                failed += [key for key, term in enc1.failed_ext.items()
-                           if model.eval(term)]
-                diff = [key for key in obs0
-                        if model.eval(obs0[key]) != model.eval(obs1[key])]
-                return (extract_counterexample(enc1, model),
-                        message.format(failed=failed, diff=diff))
-
-            return or_(*[not_(iff(obs0[key], obs1[key]))
-                         for key in obs0]), explain
-
-        return _check(name, span, {"property": name, "k": k}, encode,
-                      instrument)
-
-    # ------------------------------------------------------------------
-    # Local equivalence (§5): isolated routers on symbolic inputs
-    # ------------------------------------------------------------------
+    def verify_full_equivalence(self, other: Network,
+                                ) -> VerificationResult:
+        """Are two whole networks behaviourally equivalent?  External
+        peers are paired by name; all data-plane forwarding decisions and
+        exports to externals must agree."""
+        return self._verify_one(P.FullEquivalence(other),
+                                self.options.max_failures,
+                                label="FullEquivalence")
 
     def verify_local_equivalence(self, router_a: str, router_b: str,
                                  iface_pairing: str = "sorted",
@@ -430,74 +335,3 @@ class Verifier:
             self.network, router_a, router_b,
             options=self.options, conflict_budget=self.conflict_budget,
             iface_pairing=iface_pairing)
-
-    # ------------------------------------------------------------------
-    # Full equivalence of two networks (§5)
-    # ------------------------------------------------------------------
-
-    def verify_full_equivalence(self, other: Network,
-                                ) -> VerificationResult:
-        """Are two whole networks behaviourally equivalent?  External
-        peers are paired by name; all data-plane forwarding decisions and
-        exports to externals must agree."""
-        def encode():
-            enc_a = NetworkEncoder(self.network, self.options).encode(ns="A.")
-            enc_b = NetworkEncoder(other, self.options).encode(ns="B.")
-            return self._load_copies(enc_a, enc_b), (enc_a, enc_b)
-
-        def instrument(solver, copies):
-            enc_a, enc_b = copies
-            # Sorted, so term ids (and the search) never follow the
-            # string-hash order.
-            differences: List[Term] = [
-                not_(iff(enc_a.data_fwd(*key), enc_b.data_fwd(*key)))
-                for key in sorted(set(enc_a.fwd) | set(enc_b.fwd))]
-            for key in sorted(set(enc_a.export_to_ext)
-                              & set(enc_b.export_to_ext)):
-                differences.append(not_(and_(*enc_a.factory.equate(
-                    enc_a.export_to_ext[key], enc_b.export_to_ext[key]))))
-            return (or_(*differences) if differences else FALSE,
-                    lambda model: (
-                        extract_counterexample(enc_a, model),
-                        "networks diverge on some packet/environment"))
-
-        return _check("FullEquivalence", "verify.full_equivalence", {},
-                      encode, instrument)
-
-    # ------------------------------------------------------------------
-
-    def _load_copies(self, enc_a: EncodedNetwork,
-                     enc_b: EncodedNetwork) -> Solver:
-        """A fresh solver loaded with two encoding copies that see the
-        same packet and the same external announcements."""
-        solver = Solver(conflict_budget=self.conflict_budget,
-                        preprocess=self.options.preprocess)
-        solver.add(*enc_a.constraints, label="network")
-        solver.add(*enc_b.constraints, label="network")
-        solver.add(*_equate_packets(enc_a, enc_b), label="property")
-        solver.add(*_equate_environments(enc_a, enc_b), label="property")
-        return solver
-
-
-def _equate_packets(a: EncodedNetwork, b: EncodedNetwork) -> List[Term]:
-    from repro.smt import eq
-
-    out = [eq(a.packet.dst_ip, b.packet.dst_ip)]
-    for fa, fb in ((a.packet.src_ip, b.packet.src_ip),
-                   (a.packet.protocol, b.packet.protocol),
-                   (a.packet.dst_port, b.packet.dst_port),
-                   (a.packet.src_port, b.packet.src_port)):
-        if fa.kind != "bvval" or fb.kind != "bvval":
-            if fa.sort == fb.sort:
-                out.append(eq(fa, fb))
-    return out
-
-
-def _equate_environments(a: EncodedNetwork,
-                         b: EncodedNetwork) -> List[Term]:
-    out: List[Term] = []
-    for peer, rec_a in a.env.items():
-        rec_b = b.env.get(peer)
-        if rec_b is not None:
-            out.extend(a.factory.equate(rec_a, rec_b))
-    return out

@@ -1,8 +1,11 @@
 """The one-shot §5 checks — fault invariance, pairwise fault invariance,
-full and local equivalence — run through one runner: the same span tree
-for each, an UNKNOWN message built from the check's own search counters,
-and a full-equivalence search that does not follow the string-hash
-order."""
+full and local equivalence: the span tree each runs under, an UNKNOWN
+message built from the check's own search counters, and a
+full-equivalence search that does not follow the string-hash order.
+
+The three network checks are one-query runs of ``BatchEngine.run``;
+local equivalence, which encodes two isolated routers, has its own
+runner."""
 
 import json
 import os
@@ -28,7 +31,7 @@ UNKNOWN = re.compile(r"conflict budget exhausted after (\d+) conflicts "
 
 
 def _checks():
-    """Each check's root span name and a call that runs it."""
+    """Each check's name and a call that runs it."""
     reach = P.Reachability(sources=["S"], dest_prefix_text=RACK)
     return [
         ("verify.fault_invariance",
@@ -46,20 +49,44 @@ def _checks():
     ]
 
 
-@pytest.mark.parametrize("root_name,run", _checks(),
+def _children(tracer, span):
+    return sorted((s for s in tracer.spans
+                   if s["parent_id"] == span["span_id"]),
+                  key=lambda s: s["start"])
+
+
+def _names(spans):
+    return [s["name"] for s in spans]
+
+
+@pytest.mark.parametrize("check,run", _checks(),
                          ids=[name for name, _ in _checks()])
-def test_check_span_tree(root_name, run):
+def test_check_span_tree(check, run):
     tracer = obs.Tracer()
     with obs.use(tracer):
         result = run()
     assert result.holds is True
-    [root] = [s for s in tracer.spans if s["name"] == root_name]
+    local = check == "verify.local_equivalence"
+    [root] = [s for s in tracer.spans
+              if s["name"] == (check if local else "verify")]
     assert root["parent_id"] == 0
-    children = sorted((s for s in tracer.spans
-                       if s["parent_id"] == root["span_id"]),
-                      key=lambda s: s["start"])
-    assert [s["name"] for s in children] == [
-        "verify.encode", "verify.property", "verify.solve"]
+    if local:
+        assert _names(_children(tracer, root)) == [
+            "verify.encode", "verify.property", "verify.solve"]
+    else:
+        # verify -> batch.run -> batch.group -> batch.query, as for any
+        # Verifier.verify query.
+        [run_span] = _children(tracer, root)
+        assert run_span["name"] == "batch.run"
+        _, group = _children(tracer, run_span)
+        assert _names(_children(tracer, run_span)) == [
+            "batch.plan", "batch.group"]
+        _, query = _children(tracer, group)
+        assert _names(_children(tracer, group)) == [
+            "verify.encode", "batch.query"]
+        assert query["attrs"]["query"] == result.property_name
+        assert _names(_children(tracer, query)) == [
+            "verify.property", "verify.solve"]
     assert result.seconds == pytest.approx(root["duration"])
 
 

@@ -656,6 +656,9 @@ DIAMOND_PROPERTIES = [
     P.PathPreference(preferred=["S", "L", "D"], fallback=["S", "R", "D"],
                      dest_prefix_text=DST),
     P.NoPrefixLeak(max_length=24),
+    P.FaultInvariance(P.Reachability(sources=["S"], dest_prefix_text=DST)),
+    P.PairwiseFaultInvariance(dest_prefix_text=DST),
+    P.FullEquivalence(diamond().build()),
 ]
 
 
